@@ -40,6 +40,12 @@ DETECTOR_IDS = ("D1", "D2", "D3", "D4")
 _SEED_MAX = 2**64
 
 
+def check_seed(seed) -> None:
+    """Reject anything but an integer in ``[0, 2**64)``, the SplitMix64 seed space."""
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < _SEED_MAX:
+        raise ConfigurationError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated run configuration.
@@ -77,8 +83,7 @@ class ExperimentConfig:
             raise ConfigurationError("samples_per_period must be even so the half-period pulse is sample-aligned")
         if not isinstance(self.n_photons, (int, np.integer)) or self.n_photons < 1:
             raise ConfigurationError(f"n_photons must be a positive integer, got {self.n_photons!r}")
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < _SEED_MAX:
-            raise ConfigurationError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        check_seed(self.seed)
         if self.mode == "wheeler_delayed":
             if not isinstance(self.insert_bs2, bool):
                 raise ConfigurationError("wheeler_delayed requires insert_bs2=True (insert) or False (omit)")

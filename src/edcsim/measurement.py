@@ -10,19 +10,17 @@ independent of how photons are partitioned across worker threads.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy import stats
 
 from . import kernels
 from .analytic import AnalyticPrediction
 from .errors import ConfigurationError, ConservationError
-from .experiment import DETECTOR_IDS, PropagationResult
-
-_SEED_MAX = 2**64
+from .experiment import DETECTOR_IDS, PropagationResult, check_seed
 
 
 @dataclass(frozen=True)
@@ -100,14 +98,14 @@ def sample_clicks(
 
     Defaults for ``n_photons`` and ``seed`` come from the result's config.
     ``workers`` only parallelizes the sampling; it never changes counts.
+    At most one thread per CPU and per photon is started, whatever its value.
     """
     cfg = result.config
     n = cfg.n_photons if n_photons is None else n_photons
     s = cfg.seed if seed is None else seed
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ConfigurationError(f"n_photons must be a positive integer, got {n!r}")
-    if not isinstance(s, (int, np.integer)) or not 0 <= s < _SEED_MAX:
-        raise ConfigurationError(f"seed must be a 64-bit unsigned integer, got {s!r}")
+    check_seed(s)
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers!r}")
 
@@ -129,17 +127,22 @@ def sample_clicks(
 
 
 def _partitioned_counts(cum: np.ndarray, n: int, seed: int, workers: int) -> np.ndarray:
-    if workers == 1:
+    bounds = _partition_bounds(n, workers, os.cpu_count() or 1)
+    if len(bounds) == 2:
         return kernels.sample_counts(cum, 0, n, seed)
-    bounds = [n * k // workers for k in range(workers + 1)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=len(bounds) - 1) as pool:
         futures = [
             pool.submit(kernels.sample_counts, cum, lo, hi, seed)
             for lo, hi in zip(bounds, bounds[1:])
-            if hi > lo
         ]
         parts = [f.result() for f in futures]
     return np.sum(parts, axis=0)
+
+
+def _partition_bounds(n: int, workers: int, cpus: int) -> list[int]:
+    """Edges of ``min(workers, n, cpus)`` non-empty contiguous ranges covering ``0..n``."""
+    parts = min(workers, n, cpus)
+    return [n * k // parts for k in range(parts + 1)]
 
 
 def estimators(rec: DetectionRecord) -> EstimatorSet:
@@ -210,5 +213,16 @@ def chi_square_check(
     if dof == 0:
         # all mass in one detector and all clicks landed there
         return ChiSquareReport(0.0, 0, 1.0, significance, True, "single live detector")
-    p_value = float(stats.chi2.sf(stat, dof))
+    p_value = _chi2_sf(stat, dof)
     return ChiSquareReport(stat, dof, p_value, significance, p_value >= significance)
+
+
+def _chi2_sf(x: float, dof: int) -> float:
+    """Chi-square upper tail in closed form for the 1-3 degrees of freedom four cells allow."""
+    if dof == 1:
+        return math.erfc(math.sqrt(x / 2.0))
+    if dof == 2:
+        return math.exp(-x / 2.0)
+    if dof == 3:
+        return math.erfc(math.sqrt(x / 2.0)) + math.sqrt(2.0 * x / math.pi) * math.exp(-x / 2.0)
+    raise ValueError(f"chi-square tail implemented for 1-3 degrees of freedom, got {dof}")

@@ -180,6 +180,28 @@ class TestSweep:
         assert csv_rows(out)[0]["seed"] == "123"
 
 
+@pytest.mark.parametrize("argv, env", [
+    (["run", "--mode", "open"], {"EDCSIM_SEED": "abc"}),
+    (["run", "--mode", "open", "--out", "{tmp}"], {}),
+    (["run", "--mode", "open", "--out", "{tmp}/missing/x.csv"], {}),
+    (["run", "--bench", "{tmp}"], {}),
+    (["run", "--bench", "{tmp}/latin1.bench"], {}),
+    (["run", "--mode", "open", "--seed", str(2**64)], {}),
+    (["run", "--mode", "open", "--workers", "0"], {}),
+    (["validate", "--seed", "-1"], {}),
+], ids=["seed_env_not_integer", "out_is_directory", "out_directory_missing",
+        "bench_is_directory", "bench_not_utf8", "seed_too_large", "workers_zero",
+        "validate_seed_negative"])
+def test_invalid_input_exits_2_without_traceback(argv, env, capsys, monkeypatch, tmp_path):
+    (tmp_path / "latin1.bench").write_bytes(b"# caf\xe9\n")
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    code, _, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith("edcsim: error: ") and err.count("\n") == 1
+
+
 def test_module_entry_point(tmp_path):
     import subprocess
     import sys

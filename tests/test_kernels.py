@@ -1,14 +1,16 @@
-"""Sampling kernels: reference oracle, backend equivalence, partition invariance."""
+"""Sampling kernel: reference oracle, chunk boundaries, partition invariance."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from edcsim.kernels import available_backends
+from edcsim import kernels
+from edcsim.kernels import sample_counts
 
 MASK = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
+CHUNK = kernels._CHUNK
 
 
 def splitmix64_reference(seed: int, index: int) -> int:
@@ -21,6 +23,7 @@ def splitmix64_reference(seed: int, index: int) -> int:
 
 def counts_reference(cumprobs, start, stop, seed):
     """Brute-force per-photon loop in pure Python integers."""
+    cumprobs = [float(c) for c in cumprobs]
     counts = [0, 0, 0, 0]
     for i in range(start, stop):
         u = (splitmix64_reference(seed, i) >> 11) * 2.0**-53
@@ -34,46 +37,50 @@ def counts_reference(cumprobs, start, stop, seed):
 CUMPROBS = np.array([0.1, 0.4, 0.85, 1.0])
 
 
-@pytest.mark.parametrize("name", sorted(available_backends()))
-class TestBackend:
-    def test_matches_reference(self, name):
-        kernel = available_backends()[name].sample_counts
-        got = kernel(CUMPROBS, 0, 5000, 12345)
-        assert got.tolist() == counts_reference(CUMPROBS, 0, 5000, 12345)
-
-    def test_subrange_matches_reference(self, name):
-        kernel = available_backends()[name].sample_counts
-        got = kernel(CUMPROBS, 1700, 2400, 999)
-        assert got.tolist() == counts_reference(CUMPROBS, 1700, 2400, 999)
-
-    def test_partition_invariance(self, name):
-        kernel = available_backends()[name].sample_counts
-        whole = kernel(CUMPROBS, 0, 30_000, 7)
-        pieces = sum(kernel(CUMPROBS, a, b, 7)
-                     for a, b in [(0, 11), (11, 9_000), (9_000, 29_999), (29_999, 30_000)])
-        assert np.array_equal(whole, pieces)
-
-    def test_degenerate_distribution(self, name):
-        kernel = available_backends()[name].sample_counts
-        sure = np.array([0.0, 1.0, 1.0, 1.0])  # all mass on detector 2
-        assert kernel(sure, 0, 1000, 3).tolist() == [0, 1000, 0, 0]
-
-    def test_large_seed_wraps(self, name):
-        kernel = available_backends()[name].sample_counts
-        seed = (1 << 64) - 1
-        assert kernel(CUMPROBS, 0, 200, seed).tolist() == counts_reference(CUMPROBS, 0, 200, seed)
+def test_matches_reference():
+    got = sample_counts(CUMPROBS, 0, 5000, 12345)
+    assert got.tolist() == counts_reference(CUMPROBS, 0, 5000, 12345)
 
 
-def test_backends_bit_identical_when_compiled_present():
-    backends = available_backends()
-    if "cython" not in backends:
-        pytest.skip("compiled kernel not built")
-    rng = np.random.default_rng(31337)
-    for _ in range(20):
-        probs = rng.dirichlet(np.ones(4))
-        cum = np.cumsum(probs)
-        cum[-1] = 1.0
-        seed = int(rng.integers(0, 2**63))
-        a = backends["python"].sample_counts(cum, 0, 50_000, seed)
-        b = backends["cython"].sample_counts(cum, 0, 50_000, seed)
-        assert np.array_equal(a, b)
+def test_subrange_matches_reference():
+    got = sample_counts(CUMPROBS, 1700, 2400, 999)
+    assert got.tolist() == counts_reference(CUMPROBS, 1700, 2400, 999)
+
+
+@pytest.mark.parametrize("seed", [0, 42, 12345, (1 << 64) - 1])
+@pytest.mark.parametrize("start, stop", [
+    (CHUNK - 1000, CHUNK + 1000),             # crosses the index CHUNK
+    (CHUNK // 2, CHUNK // 2 + CHUNK + 1000),  # starts mid-chunk, spans two chunks
+], ids=["across_chunk_index", "mid_chunk_two_chunks"])
+def test_chunk_boundaries_match_reference(seed, start, stop):
+    got = sample_counts(CUMPROBS, start, stop, seed)
+    assert got.tolist() == counts_reference(CUMPROBS, start, stop, seed)
+
+
+def test_partition_invariance():
+    whole = sample_counts(CUMPROBS, 0, 30_000, 7)
+    pieces = sum(sample_counts(CUMPROBS, a, b, 7)
+                 for a, b in [(0, 11), (11, 9_000), (9_000, 29_999), (29_999, 30_000)])
+    assert np.array_equal(whole, pieces)
+
+
+def test_degenerate_distribution():
+    sure = np.array([0.0, 1.0, 1.0, 1.0])  # all mass on detector 2
+    assert sample_counts(sure, 0, 1000, 3).tolist() == [0, 1000, 0, 0]
+
+
+def test_float_residue_above_one():
+    # a cumulative sum can overshoot 1 before the top bin is pinned to 1.0
+    cum = np.array([0.25, 1.0000000000000002, 1.0000000000000002, 1.0])
+    got = sample_counts(cum, 0, 4000, 42)
+    assert got.tolist() == counts_reference(cum, 0, 4000, 42)
+    assert got[2:].tolist() == [0, 0]
+
+
+def test_large_seed_wraps():
+    seed = (1 << 64) - 1
+    assert sample_counts(CUMPROBS, 0, 200, seed).tolist() == counts_reference(CUMPROBS, 0, 200, seed)
+
+
+def test_single_backend_entry():
+    assert kernels.available_backends() == {kernels.BACKEND: kernels}

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from edcsim.errors import ConfigurationError, ConservationError
 from edcsim.experiment import ExperimentConfig, run
 from edcsim.measurement import (
     DetectionRecord,
+    _chi2_sf,
+    _partition_bounds,
     chi_square_check,
     estimators,
     sample_clicks,
@@ -67,6 +71,19 @@ class TestSampleClicks:
             if np.any(np.abs(hats - probs) > 5 * sigma):
                 violations += 1
         assert violations == 0
+
+    @pytest.mark.parametrize("n, workers, cpus, parts", [
+        (100_000, 100_000, 2, 2),   # capped by the CPU count
+        (3, 100_000, 64, 3),        # capped by the photon count
+        (10, 4, 64, 4),
+        (10, 1, 64, 1),
+        (1, 1, 1, 1),
+    ])
+    def test_partition_bounded_by_cpus_and_photons(self, n, workers, cpus, parts):
+        bounds = _partition_bounds(n, workers, cpus)
+        assert len(bounds) == parts + 1
+        assert bounds[0] == 0 and bounds[-1] == n
+        assert all(lo < hi for lo, hi in zip(bounds, bounds[1:]))
 
     def test_invalid_photons_and_seed(self):
         result = propagate()
@@ -167,3 +184,28 @@ class TestChiSquare:
         with pytest.raises(ConservationError):
             DetectionRecord(counts={"D1": 1, "D2": 1, "D3": 0, "D4": 0},
                             n_photons=2, probs=(0.6, 0.5, 0.0, 0.0), seed=0)
+
+
+class TestChiSquareTail:
+    @pytest.mark.parametrize("x, dof, tail", [
+        (3.841458820694124, 1, 0.05),
+        (10.827566170662733, 1, 0.001),
+        (5.991464547107979, 2, 0.05),
+        (7.814727903251178, 3, 0.05),
+    ])
+    def test_critical_values(self, x, dof, tail):
+        assert _chi2_sf(x, dof) == pytest.approx(tail, rel=1e-12)
+
+    def test_matches_scipy_on_grid(self):
+        stats = pytest.importorskip("scipy.stats")
+        xs = np.concatenate([np.linspace(0.0, 60.0, 1201), [80.0, 120.0, 200.0, 350.0, 500.0]])
+        for dof in (1, 2, 3):
+            for x in xs:
+                assert _chi2_sf(float(x), dof) == pytest.approx(float(stats.chi2.sf(x, dof)),
+                                                                rel=1e-13, abs=0.0)
+
+    def test_cli_import_loads_no_scipy(self):
+        code = "import sys, edcsim.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.strip() == "False"
