@@ -30,11 +30,6 @@ from .experiment import (
     ExperimentConfig,
     PropagationResult,
     run,
-    run_closed,
-    run_edc_bench,
-    run_edc_conceptual,
-    run_open,
-    run_wheeler_delayed,
 )
 from .kernels import BACKEND
 from .measurement import (
@@ -48,11 +43,8 @@ from .measurement import (
 )
 from .optics import (
     ElementSpec,
-    GateTimeline,
-    apply_mirror,
     apply_phase,
     beam_split,
-    gated_route,
     recombine_bs2,
 )
 from .wavecore import (

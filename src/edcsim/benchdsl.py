@@ -41,7 +41,7 @@ from fractions import Fraction
 
 from .errors import ConfigurationError, TopologyError
 from .experiment import ExperimentConfig
-from .optics import ELEMENT_PORTS, ElementSpec, GateTimeline
+from .optics import ELEMENT_PORTS, ElementSpec
 
 __all__ = [
     "BenchParseError",
@@ -114,7 +114,6 @@ class ParseDiagnostic:
     line: int
     column: int
     message: str
-    source_excerpt: str
     code: str
 
     def __str__(self):
@@ -168,12 +167,6 @@ class SignalSpec:
             return ((self.delay, end),)
         return ((Fraction(0), end - self.period), (self.delay, self.period))
 
-    def to_timeline(self) -> GateTimeline:
-        return GateTimeline(
-            float(self.period),
-            tuple((float(s), float(e)) for s, e in self.high_windows()),
-        )
-
 
 @dataclass(frozen=True)
 class Connection:
@@ -224,16 +217,12 @@ class _Token:
 _PUNCT = {"{": "{", "}": "}", ":": ":", ";": ";", "=": "=", ".": ".", "%": "%"}
 
 
-def _lex(text: str, diags: list) -> tuple[list[_Token], list[str]]:
-    lines = text.splitlines() or [""]
+def _lex(text: str, diags: list) -> list[_Token]:
     tokens: list[_Token] = []
     line_no = 1
     col = 1
     i = 0
     n = len(text)
-
-    def excerpt(ln):
-        return lines[ln - 1] if 0 < ln <= len(lines) else ""
 
     while i < n:
         ch = text[i]
@@ -286,14 +275,12 @@ def _lex(text: str, diags: list) -> tuple[list[_Token], list[str]]:
             col += j - i
             i = j
             continue
-        diags.append(
-            ParseDiagnostic("error", line_no, col, f"unexpected character {ch!r}", excerpt(line_no), Codes.LEX)
-        )
+        diags.append(ParseDiagnostic("error", line_no, col, f"unexpected character {ch!r}", Codes.LEX))
         i += 1
         col += 1
 
     tokens.append(_Token("EOF", "", line_no, col))
-    return tokens, lines
+    return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +299,7 @@ class _Decl:
 class _Parser:
     def __init__(self, text: str):
         self.diags: list[ParseDiagnostic] = []
-        self.tokens, self.lines = _lex(text, self.diags)
+        self.tokens = _lex(text, self.diags)
         self.pos = 0
 
     # -- token helpers ------------------------------------------------------
@@ -326,18 +313,11 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def _excerpt(self, line: int) -> str:
-        return self.lines[line - 1] if 0 < line <= len(self.lines) else ""
-
     def _error(self, tok: _Token, message: str, code: str = Codes.SYNTAX):
-        self.diags.append(
-            ParseDiagnostic("error", tok.line, tok.col, message, self._excerpt(tok.line), code)
-        )
+        self.diags.append(ParseDiagnostic("error", tok.line, tok.col, message, code))
 
     def _warn(self, tok: _Token, message: str, code: str):
-        self.diags.append(
-            ParseDiagnostic("warning", tok.line, tok.col, message, self._excerpt(tok.line), code)
-        )
+        self.diags.append(ParseDiagnostic("warning", tok.line, tok.col, message, code))
 
     def _expect(self, type_: str, what: str) -> _Token | None:
         tok = self._peek()
@@ -547,15 +527,13 @@ class _Builder:
 
         sources = [d for d in decls if d.kind == "source" and by_name.get(d.name) is d]
         if not sources:
-            p.diags.append(ParseDiagnostic("error", 1, 1, "no source declared", p._excerpt(1), Codes.NO_SOURCE))
+            p.diags.append(ParseDiagnostic("error", 1, 1, "no source declared", Codes.NO_SOURCE))
         for extra in sources[1:]:
             p._error(extra.token, "more than one source declared", Codes.MULTI_SOURCE)
 
         detectors = [d for d in decls if d.kind == "detector" and by_name.get(d.name) is d]
         if sources and not detectors:
-            p.diags.append(
-                ParseDiagnostic("error", 1, 1, "no detector declared", p._excerpt(1), Codes.NO_DETECTOR)
-            )
+            p.diags.append(ParseDiagnostic("error", 1, 1, "no detector declared", Codes.NO_DETECTOR))
 
         typed: dict[str, dict] = {}
         for decl in by_name.values():

@@ -205,17 +205,22 @@ def _sweep_points(args) -> list[tuple[ExperimentConfig, int]]:
     base_seed = _seed(args)
     points: list[ExperimentConfig] = []
 
+    if args.preset is not None:
+        fixed = {"--mode": args.mode, "--bench": args.bench, "--var": args.var, "--start": args.start,
+                 "--stop": args.stop, "--steps": args.steps, "--td-frac": args.td_frac}
+        if args.preset == "phase":
+            fixed["--phi"] = args.phi
+        given = [flag for flag, value in fixed.items() if value is not None]
+        if given:
+            raise ConfigurationError(f"--preset {args.preset} takes no {', '.join(given)}")
+
     if args.preset == "phase":
-        if args.mode is not None or args.bench:
-            raise ConfigurationError("--preset phase fixes the mode; drop --mode/--bench")
         phis = _sweep_values(0.0, 2.0 * np.pi, _PRESET_PHASE_STEPS)
         for p_p in _PRESET_PHASE_PP:
             for phi in phis:
                 points.append(_config_from_args(args, "edc_conceptual", phi=float(phi), td_frac=p_p,
                                                 seed=base_seed))
     elif args.preset == "delay":
-        if args.mode is not None or args.bench:
-            raise ConfigurationError("--preset delay fixes the mode; drop --mode/--bench")
         for td in _sweep_values(0.0, 1.0, _PRESET_DELAY_STEPS):
             points.append(_config_from_args(args, "edc_bench", td_frac=float(td), seed=base_seed))
     elif args.var is not None:
@@ -297,7 +302,7 @@ def run_validation_suite(seed: int = 42, n_photons: int = 100_000) -> list[Check
     # mid-pulse split: per-arm front/back norms complement to 1/2, supports disjoint
     worst_half = 0.0
     worst_ortho = 0.0
-    from .experiment import _split_source  # arm construction shared with the runners
+    from .experiment import _split_source  # arm construction shared with run
     for _ in range(50):
         td_samples = int(rng.integers(0, 501))
         cfg = ExperimentConfig(mode="edc_conceptual", phi=float(rng.uniform(0, 2 * np.pi)),
@@ -407,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_sweep)
     p_sweep.add_argument("--preset", choices=("phase", "delay"), default=None,
                          help="phase: phi over [0, 2pi] at five passed fractions; "
-                              "delay: td_frac over [0, 1] at phi=0")
+                              "delay: td_frac over [0, 1] at --phi (default 0)")
     p_sweep.add_argument("--var", choices=("phi", "td_frac"), default=None, help="sweep variable")
     p_sweep.add_argument("--start", type=float, default=None)
     p_sweep.add_argument("--stop", type=float, default=None)
@@ -439,7 +444,7 @@ def main(argv=None) -> int:
     except (ConfigurationError, TopologyError, DomainError) as exc:
         print(f"edcsim: error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         print(f"edcsim: error: {exc}", file=sys.stderr)
         return 2
     except (ConservationError, OracleMismatchError) as exc:

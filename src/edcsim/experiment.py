@@ -1,22 +1,31 @@
 """Experiment wiring: propagate a source photon through one of five modes.
 
+Every mode is the encounter-delayed-choice (EDC) cut.  The input splitter
+makes two arm waves; each arm is cut at the instant the output splitter
+acts, ``passed_samples`` samples into the pulse.  The front passed before
+the splitter was there and does not interfere; the back is recombined by
+the output splitter with the arm-1 phase and interferes.
+
 Modes
 -----
 ``open``
-    Input splitter only; each arm goes straight to a detector.
+    No output splitter: the whole pulse passes (``td = 1``); each arm goes
+    straight to a detector.
 ``closed``
-    Both splitters present; the phase produces interference fringes.
+    Both splitters present from the start: nothing passes (``td = 0``) and
+    the phase produces interference fringes.
 ``wheeler_delayed``
     The insert/omit decision for the output splitter is taken after the
-    photon passed the input splitter; outcomes match closed/open.
+    photon passed the input splitter; insert is the closed limit, omit the
+    open one.
 ``edc_conceptual``
-    The output splitter appears mid-pulse: the pulse front in each arm
-    exits unrecombined toward D1/D2 and the back is recombined, both
-    landing on the same two detectors.
+    The output splitter appears mid-pulse: the front in each arm exits
+    unrecombined toward D1/D2 and the back is recombined, both landing on
+    the same two detectors.
 ``edc_bench``
-    Bench realization with gated routers in the arms: transmitted fronts
-    go to dedicated detectors D3/D4, reflected backs are recombined onto
-    D1/D2.
+    Bench realization with gated routers in the arms: the fronts are
+    transmitted to dedicated detectors D3/D4, the reflected backs are
+    recombined onto D1/D2.
 
 All propagation is by actual samplewise wave transport; the closed forms
 in :mod:`edcsim.analytic` are never evaluated here.
@@ -30,7 +39,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigurationError, ConservationError
-from .optics import GateTimeline, apply_phase, beam_split, gated_route, recombine_bs2
+from .optics import apply_phase, beam_split, recombine_bs2
 from .wavecore import SubWave, TimeGrid, make_rect_pulse, norm, split_at_time, superpose, zero_wave
 
 MODES = ("open", "closed", "wheeler_delayed", "edc_conceptual", "edc_bench")
@@ -117,16 +126,21 @@ class ExperimentConfig:
         return self.effective_td_frac - self.td_frac
 
     @property
+    def passed_samples(self) -> int:
+        """Pulse samples that pass each arm before the output splitter acts."""
+        if self.mode in EDC_MODES:
+            return self.td_samples
+        if self.mode == "open" or (self.mode == "wheeler_delayed" and not self.insert_bs2):
+            return self.pulse_samples
+        return 0
+
+    @property
     def p_p(self) -> float:
         """Analytic passed fraction implied by this configuration."""
-        if self.mode in EDC_MODES:
-            return self.effective_td_frac
-        if self.mode == "open" or (self.mode == "wheeler_delayed" and not self.insert_bs2):
-            return 1.0
-        return 0.0
+        return self.passed_samples / self.pulse_samples
 
     def grid(self) -> TimeGrid:
-        return TimeGrid(self.samples_per_period, self.dt, 0.0)
+        return TimeGrid(self.samples_per_period, self.dt)
 
 
 @dataclass(frozen=True)
@@ -155,103 +169,26 @@ class PropagationResult:
 def _split_source(cfg: ExperimentConfig) -> tuple[SubWave, SubWave]:
     grid = cfg.grid()
     photon = make_rect_pulse(grid, cfg.pulse_duration)
-    arm1, arm2 = beam_split(photon, zero_wave(grid))
-    return arm1.relabel("arm1"), arm2.relabel("arm2")
-
-
-def _result(cfg, d1, d2, d3=None, d4=None) -> PropagationResult:
-    grid = cfg.grid()
-    waves = {
-        "D1": d1.relabel("D1"),
-        "D2": d2.relabel("D2"),
-        "D3": (d3 or zero_wave(grid)).relabel("D3"),
-        "D4": (d4 or zero_wave(grid)).relabel("D4"),
-    }
-    return PropagationResult(cfg.mode, waves, cfg)
-
-
-def _require_mode(cfg: ExperimentConfig, mode: str) -> None:
-    if cfg.mode != mode:
-        raise ConfigurationError(f"config mode is {cfg.mode!r}, expected {mode!r}")
-
-
-def run_open(cfg: ExperimentConfig) -> PropagationResult:
-    """No output splitter: arm 1 reaches D1, arm 2 reaches D2."""
-    _require_mode(cfg, "open")
-    arm1, arm2 = _split_source(cfg)
-    return _result(cfg, apply_phase(arm1, cfg.phi), arm2)
-
-
-def run_closed(cfg: ExperimentConfig) -> PropagationResult:
-    """Both splitters: detector norms follow the interference fringe."""
-    _require_mode(cfg, "closed")
-    arm1, arm2 = _split_source(cfg)
-    d1, d2 = recombine_bs2(arm1, arm2, cfg.phi)
-    return _result(cfg, d1, d2)
-
-
-def run_wheeler_delayed(cfg: ExperimentConfig) -> PropagationResult:
-    """Decide insert/omit only after the photon is inside the interferometer."""
-    _require_mode(cfg, "wheeler_delayed")
-    arm1, arm2 = _split_source(cfg)
-    # the arms exist before the choice is consulted
-    if cfg.insert_bs2:
-        d1, d2 = recombine_bs2(arm1, arm2, cfg.phi)
-        return _result(cfg, d1, d2)
-    return _result(cfg, apply_phase(arm1, cfg.phi), arm2)
-
-
-def run_edc_conceptual(cfg: ExperimentConfig) -> PropagationResult:
-    """Insert the output splitter mid-pulse; both parts reach D1/D2.
-
-    Each arm is split at the insertion instant: the front exits before the
-    splitter appears and propagates unrecombined (arm 1 still picks up the
-    arm phase), while the back is recombined.  The detector waves are the
-    samplewise sums of the two contributions.
-    """
-    _require_mode(cfg, "edc_conceptual")
-    arm1, arm2 = _split_source(cfg)
-    t_insert = cfg.td_samples * cfg.dt
-    front1, back1 = split_at_time(arm1, t_insert)
-    front2, back2 = split_at_time(arm2, t_insert)
-    passed1 = apply_phase(front1, cfg.phi)
-    passed2 = front2
-    gated1, gated2 = recombine_bs2(back1, back2, cfg.phi)
-    return _result(cfg, superpose(passed1, gated1), superpose(passed2, gated2))
-
-
-def run_edc_bench(cfg: ExperimentConfig) -> PropagationResult:
-    """Bench layout: gated routers transmit the pulse front to D3/D4.
-
-    Both routers share one gate timeline that is high for the first
-    ``td_frac`` of the pulse; reflected parts are recombined onto D1/D2
-    with the phase applied to the arm-1 reflected path.
-    """
-    _require_mode(cfg, "edc_bench")
-    arm1, arm2 = _split_source(cfg)
-    gate = insertion_gate(cfg)
-    d3, reflected1 = gated_route(arm1, gate)
-    d4, reflected2 = gated_route(arm2, gate)
-    d1, d2 = recombine_bs2(reflected1, reflected2, cfg.phi)
-    return _result(cfg, d1, d2, d3, d4)
-
-
-def insertion_gate(cfg: ExperimentConfig) -> GateTimeline:
-    """Gate timeline that transmits the first ``td_frac`` of each pulse."""
-    if cfg.td_samples == 0:
-        return GateTimeline(cfg.period, ())
-    return GateTimeline(cfg.period, ((0.0, cfg.td_samples * cfg.dt),))
-
-
-_RUNNERS = {
-    "open": run_open,
-    "closed": run_closed,
-    "wheeler_delayed": run_wheeler_delayed,
-    "edc_conceptual": run_edc_conceptual,
-    "edc_bench": run_edc_bench,
-}
+    return beam_split(photon, zero_wave(grid))
 
 
 def run(cfg: ExperimentConfig) -> PropagationResult:
-    """Propagate the photon for the mode selected in ``cfg``."""
-    return _RUNNERS[cfg.mode](cfg)
+    """Propagate the photon through the EDC cut of the mode selected in ``cfg``.
+
+    Each arm is split at ``passed_samples * dt``.  The backs are recombined
+    onto D1/D2 with the arm-1 phase.  On the bench the fronts go unphased
+    to D3/D4; in every other mode they reach D1/D2 unrecombined (arm 1
+    still picks up the arm phase) and add samplewise to the backs.
+    """
+    arm1, arm2 = _split_source(cfg)
+    t_cut = cfg.passed_samples * cfg.dt
+    front1, back1 = split_at_time(arm1, t_cut)
+    front2, back2 = split_at_time(arm2, t_cut)
+    d1, d2 = recombine_bs2(back1, back2, cfg.phi)
+    if cfg.mode == "edc_bench":
+        waves = {"D1": d1, "D2": d2, "D3": front1, "D4": front2}
+    else:
+        vacuum = zero_wave(cfg.grid())
+        waves = {"D1": superpose(apply_phase(front1, cfg.phi), d1), "D2": superpose(front2, d2),
+                 "D3": vacuum, "D4": vacuum}
+    return PropagationResult(cfg.mode, waves, cfg)

@@ -2,9 +2,10 @@
 
 All elements are lossless and act samplewise on :class:`~edcsim.wavecore.SubWave`
 values: a 50/50 beam splitter (Hadamard convention at the input, the
-conjugate sign convention at the output combiner), a phase shifter, an
-ideal mirror, and a time-gated router that models an electro-optic
-modulator as an instantaneous binary switch.
+conjugate sign convention at the output combiner) and a phase shifter.
+Mirrors are the identity, and a gated router is the time cut
+:func:`~edcsim.wavecore.split_at_time`; both are bench-file element kinds
+only.
 """
 
 from __future__ import annotations
@@ -49,38 +50,11 @@ class ElementSpec:
         return ELEMENT_PORTS[self.kind][1]
 
 
-@dataclass(frozen=True)
-class GateTimeline:
-    """Periodic gate signal: high over ``high_intervals`` within each period.
-
-    Intervals are half-open ``[start, end)`` second pairs, sorted,
-    non-overlapping and contained in ``[0, period]``.
-    """
-
-    period: float
-    high_intervals: tuple[tuple[float, float], ...] = ()
-
-    def __post_init__(self):
-        if not (np.isfinite(self.period) and self.period > 0):
-            raise ConfigurationError(f"gate period must be positive, got {self.period!r}")
-        intervals = tuple((float(s), float(e)) for s, e in self.high_intervals)
-        prev_end = 0.0
-        for s, e in intervals:
-            if not (0.0 <= s < e <= self.period):
-                raise ConfigurationError(
-                    f"gate interval [{s}, {e}) outside [0, {self.period})"
-                )
-            if s < prev_end:
-                raise ConfigurationError("gate intervals must be sorted and non-overlapping")
-            prev_end = e
-        object.__setattr__(self, "high_intervals", intervals)
-
-
 def beam_split(in1: SubWave, in2: SubWave) -> tuple[SubWave, SubWave]:
     """50/50 input splitter: ``out1 = (in1 + in2)/sqrt(2)``, ``out2 = (in1 - in2)/sqrt(2)``."""
     _require_same_grid(in1, in2)
-    out1 = SubWave(in1.grid, (in1.amps + in2.amps) * _SQRT_HALF, "bs.out1")
-    out2 = SubWave(in1.grid, (in1.amps - in2.amps) * _SQRT_HALF, "bs.out2")
+    out1 = SubWave(in1.grid, (in1.amps + in2.amps) * _SQRT_HALF)
+    out2 = SubWave(in1.grid, (in1.amps - in2.amps) * _SQRT_HALF)
     return out1, out2
 
 
@@ -94,51 +68,11 @@ def recombine_bs2(in1: SubWave, in2: SubWave, phi: float) -> tuple[SubWave, SubW
     _require_same_grid(in1, in2)
     ph = np.exp(1j * phi)
     a = ph * in1.amps
-    out1 = SubWave(in1.grid, (a - in2.amps) * _SQRT_HALF, "bs2.out1")
-    out2 = SubWave(in1.grid, (a + in2.amps) * _SQRT_HALF, "bs2.out2")
+    out1 = SubWave(in1.grid, (a - in2.amps) * _SQRT_HALF)
+    out2 = SubWave(in1.grid, (a + in2.amps) * _SQRT_HALF)
     return out1, out2
 
 
 def apply_phase(w: SubWave, phi: float) -> SubWave:
     """Multiply every sample by ``e^{i phi}``; the norm is unchanged."""
-    return SubWave(w.grid, np.exp(1j * phi) * w.amps, w.path_label)
-
-
-def apply_mirror(w: SubWave) -> SubWave:
-    """Ideal lossless mirror; both arms see one, so the transform is identity."""
-    return w
-
-
-def gated_route(w: SubWave, gates: GateTimeline) -> tuple[SubWave, SubWave]:
-    """Route samples by gate state: high -> transmitted, low -> reflected.
-
-    The two outputs have disjoint supports and sum to ``w`` samplewise.
-    The gate period must be an integer number of grid samples; interval
-    edges are snapped to the nearest sample boundary, mirroring how
-    insertion delays are rounded to the grid.
-    """
-    grid = w.grid
-    period_samples = _aligned_samples(gates.period, grid.dt, "gate period")
-    if period_samples < 1:
-        raise ConfigurationError("gate period must cover at least one sample")
-    origin_index = _aligned_samples(grid.origin, grid.dt, "grid origin")
-    pos = (origin_index + np.arange(grid.n_samples)) % period_samples
-    high = np.zeros(grid.n_samples, dtype=bool)
-    for s, e in gates.high_intervals:
-        si = int(round(s / grid.dt))
-        ei = int(round(e / grid.dt))
-        high |= (pos >= si) & (pos < ei)
-    transmitted = np.where(high, w.amps, 0.0 + 0.0j)
-    reflected = np.where(high, 0.0 + 0.0j, w.amps)
-    return (
-        SubWave(grid, transmitted, f"{w.path_label}.transmit"),
-        SubWave(grid, reflected, f"{w.path_label}.reflect"),
-    )
-
-
-def _aligned_samples(t: float, dt: float, what: str) -> int:
-    k = t / dt
-    ki = int(round(k))
-    if abs(k - ki) > 1e-9 * max(1.0, abs(k)):
-        raise ConfigurationError(f"{what} ({t!r} s) is not a whole number of samples (dt={dt!r} s)")
-    return ki
+    return SubWave(w.grid, np.exp(1j * phi) * w.amps)

@@ -9,7 +9,7 @@ the grid resolution for rectangular pulses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,35 +21,28 @@ _ALIGN_TOL = 1e-9
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform time grid: ``n_samples`` points spaced ``dt`` seconds from ``origin``."""
+    """Uniform time grid: ``n_samples`` points spaced ``dt`` seconds from ``t = 0``."""
 
     n_samples: int
     dt: float
-    origin: float = 0.0
 
     def __post_init__(self):
         if not isinstance(self.n_samples, (int, np.integer)) or self.n_samples < 2:
             raise ConfigurationError(f"n_samples must be an integer >= 2, got {self.n_samples!r}")
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ConfigurationError(f"dt must be positive and finite, got {self.dt!r}")
-        if not np.isfinite(self.origin):
-            raise ConfigurationError(f"origin must be finite, got {self.origin!r}")
 
     @property
     def span(self) -> float:
         return self.n_samples * self.dt
 
-    def times(self) -> np.ndarray:
-        return self.origin + self.dt * np.arange(self.n_samples)
-
     def index_at(self, t: float) -> int:
         """Sample index of a boundary time ``t``.
 
-        ``t`` must lie on a sample boundary (within tolerance) between the
-        grid origin and its end; the end boundary ``origin + span`` maps to
-        ``n_samples``.
+        ``t`` must lie on a sample boundary (within tolerance) between 0 and
+        the end of the grid; the end boundary ``span`` maps to ``n_samples``.
         """
-        k = (t - self.origin) / self.dt
+        k = t / self.dt
         ki = int(round(k))
         if abs(k - ki) > _ALIGN_TOL * max(1.0, abs(k)):
             raise ConfigurationError(
@@ -57,18 +50,17 @@ class TimeGrid:
             )
         if not 0 <= ki <= self.n_samples:
             raise ConfigurationError(
-                f"time {t!r} s lies outside the grid [{self.origin!r}, {self.origin + self.span!r}]"
+                f"time {t!r} s lies outside the grid [0, {self.span!r}]"
             )
         return ki
 
 
 @dataclass(frozen=True, eq=False)
 class SubWave:
-    """One path's complex amplitude samples on a grid, with a path label."""
+    """One path's complex amplitude samples on a grid."""
 
     grid: TimeGrid
     amps: np.ndarray
-    path_label: str = ""
 
     def __post_init__(self):
         amps = np.array(self.amps, dtype=np.complex128, copy=True)
@@ -81,36 +73,30 @@ class SubWave:
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
 
-    def relabel(self, label: str) -> "SubWave":
-        return replace(self, path_label=label)
-
     def __repr__(self):
-        return (
-            f"SubWave(n={self.grid.n_samples}, norm={norm(self):.6g}, "
-            f"label={self.path_label!r})"
-        )
+        return f"SubWave(n={self.grid.n_samples}, norm={norm(self):.6g})"
 
 
-def zero_wave(grid: TimeGrid, path_label: str = "vacuum") -> SubWave:
+def zero_wave(grid: TimeGrid) -> SubWave:
     """All-zero sub-wave (vacuum port)."""
-    return SubWave(grid, np.zeros(grid.n_samples, dtype=np.complex128), path_label)
+    return SubWave(grid, np.zeros(grid.n_samples, dtype=np.complex128))
 
 
-def make_rect_pulse(grid: TimeGrid, duration: float, path_label: str = "source") -> SubWave:
-    """Unit-norm rectangular pulse starting at the grid origin.
+def make_rect_pulse(grid: TimeGrid, duration: float) -> SubWave:
+    """Unit-norm rectangular pulse starting at ``t = 0``.
 
-    The amplitude is constant over ``[origin, origin + duration)`` and zero
+    The amplitude is constant over ``[0, duration)`` and zero
     elsewhere; ``duration`` must be positive, sample-aligned and within the
     grid span.
     """
     if not (np.isfinite(duration) and duration > 0):
         raise ConfigurationError(f"pulse duration must be positive, got {duration!r}")
-    n_pulse = grid.index_at(grid.origin + duration)
+    n_pulse = grid.index_at(duration)
     if n_pulse == 0:
         raise ConfigurationError("pulse duration must cover at least one sample")
     amps = np.zeros(grid.n_samples, dtype=np.complex128)
     amps[:n_pulse] = np.sqrt(1.0 / (n_pulse * grid.dt))
-    return SubWave(grid, amps, path_label)
+    return SubWave(grid, amps)
 
 
 def norm(w: SubWave) -> float:
@@ -136,16 +122,13 @@ def split_at_time(w: SubWave, t_cut: float) -> tuple[SubWave, SubWave]:
     front[k:] = 0
     back = np.array(w.amps)
     back[:k] = 0
-    return (
-        SubWave(w.grid, front, f"{w.path_label}.front"),
-        SubWave(w.grid, back, f"{w.path_label}.back"),
-    )
+    return SubWave(w.grid, front), SubWave(w.grid, back)
 
 
-def superpose(a: SubWave, b: SubWave, path_label: str = "") -> SubWave:
+def superpose(a: SubWave, b: SubWave) -> SubWave:
     """Samplewise sum of two sub-waves on the same grid."""
     _require_same_grid(a, b)
-    return SubWave(a.grid, a.amps + b.amps, path_label or a.path_label)
+    return SubWave(a.grid, a.amps + b.amps)
 
 
 def _require_same_grid(a: SubWave, b: SubWave) -> None:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from edcsim.cli import CSV_COLUMNS, main, run_validation_suite
+from edcsim.experiment import MODES
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -104,6 +105,34 @@ class TestRun:
         assert out == (GOLDEN / "run_conceptual.csv").read_text()
 
 
+# file under tests/data/golden -> argv; "{benches}" is the shipped bench directory
+GOLDEN_CASES = {
+    "run_open.csv": "run --mode open --phi 1.1 --photons 3000 --seed 5",
+    "run_closed.csv": "run --mode closed --phi 2.2 --photons 3000 --seed 6",
+    "run_wheeler_insert.csv": "run --mode wheeler_delayed --choice insert --phi 0.9 --photons 3000 --seed 7",
+    "run_wheeler_omit.csv": "run --mode wheeler_delayed --choice omit --phi 0.9 --photons 3000 --seed 8",
+    "run_edc_conceptual.csv": "run --mode edc_conceptual --phi 4.0 --td-frac 0.6 --photons 3000 --seed 9",
+    "run_edc_bench.csv": "run --mode edc_bench --phi 2.5 --td-frac 0.35 --photons 3000 --seed 10",
+    # 5-sample pulse: td_frac 0.3333 snaps to 2 samples, 0.4
+    "run_edc_conceptual_snapped.csv":
+        "run --mode edc_conceptual --samples 10 --td-frac 0.3333 --phi 1.3 --photons 3000 --seed 11",
+    "run_edc_bench_snapped.csv":
+        "run --mode edc_bench --samples 10 --td-frac 0.3333 --phi 1.3 --photons 3000 --seed 12",
+    # td_frac 0 and 1 on the bench layout
+    "sweep_delay.csv": "sweep --preset delay --phi 0.4 --photons 2000 --seed 13",
+    **{f"bench_{name}.csv": f"run --bench {{benches}}/{name}.bench --photons 3000 --seed 14"
+       for name in MODES},  # the shipped benches are named after the modes
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_golden_bytes(name, capsys):
+    benches = str(resources.files("edcsim") / "benches")
+    code, out, _ = run_cli(capsys, *GOLDEN_CASES[name].format(benches=benches).split())
+    assert code == 0
+    assert out.encode() == (GOLDEN / name).read_bytes()
+
+
 class TestSweep:
     def test_phase_preset_flat_curve_at_full_pass(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--preset", "phase", "--photons", "1000")
@@ -189,9 +218,20 @@ class TestSweep:
     (["run", "--mode", "open", "--seed", str(2**64)], {}),
     (["run", "--mode", "open", "--workers", "0"], {}),
     (["validate", "--seed", "-1"], {}),
+    # a 16 PB amplitude array: numpy refuses it before touching memory
+    (["run", "--mode", "open", "--samples", str(10**15)], {}),
+    (["sweep", "--preset", "phase", "--var", "phi"], {}),
+    (["sweep", "--preset", "delay", "--start", "0"], {}),
+    (["sweep", "--preset", "phase", "--stop", "1"], {}),
+    (["sweep", "--preset", "delay", "--steps", "3"], {}),
+    (["sweep", "--preset", "phase", "--phi", "1"], {}),
+    (["sweep", "--preset", "phase", "--td-frac", "0.5"], {}),
+    (["sweep", "--preset", "delay", "--td-frac", "0.5"], {}),
 ], ids=["seed_env_not_integer", "out_is_directory", "out_directory_missing",
         "bench_is_directory", "bench_not_utf8", "seed_too_large", "workers_zero",
-        "validate_seed_negative"])
+        "validate_seed_negative", "samples_beyond_memory", "phase_preset_with_var",
+        "delay_preset_with_start", "phase_preset_with_stop", "delay_preset_with_steps",
+        "phase_preset_with_phi", "phase_preset_with_td_frac", "delay_preset_with_td_frac"])
 def test_invalid_input_exits_2_without_traceback(argv, env, capsys, monkeypatch, tmp_path):
     (tmp_path / "latin1.bench").write_bytes(b"# caf\xe9\n")
     for key, value in env.items():

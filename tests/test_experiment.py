@@ -6,17 +6,8 @@ import numpy as np
 import pytest
 
 from edcsim.errors import ConfigurationError
-from edcsim.experiment import (
-    ExperimentConfig,
-    run,
-    run_closed,
-    run_edc_bench,
-    run_edc_conceptual,
-    run_open,
-    run_wheeler_delayed,
-)
+from edcsim.experiment import ExperimentConfig, _split_source, run
 from edcsim.wavecore import inner_product, norm, split_at_time
-from edcsim.experiment import _split_source
 
 TOL = 1e-12
 
@@ -67,48 +58,48 @@ class TestConfigValidation:
 class TestOpen:
     @pytest.mark.parametrize("phi", [0.0, 2.37, np.pi])
     def test_flat_half_half(self, phi):
-        assert_norms(run_open(cfg_for("open", phi)), [0.5, 0.5, 0.0, 0.0])
+        assert_norms(run(cfg_for("open", phi)), [0.5, 0.5, 0.0, 0.0])
 
     def test_conserved(self):
-        result = run_open(cfg_for("open", 1.0))
+        result = run(cfg_for("open", 1.0))
         assert abs(sum(result.detector_norms().values()) - 1.0) < TOL
 
 
 class TestClosed:
     def test_phi_zero_bright_port(self):
-        assert_norms(run_closed(cfg_for("closed", 0.0)), [0.0, 1.0, 0.0, 0.0])
+        assert_norms(run(cfg_for("closed", 0.0)), [0.0, 1.0, 0.0, 0.0])
 
     def test_phi_pi_dark_port(self):
-        assert_norms(run_closed(cfg_for("closed", np.pi)), [1.0, 0.0, 0.0, 0.0])
+        assert_norms(run(cfg_for("closed", np.pi)), [1.0, 0.0, 0.0, 0.0])
 
     def test_phi_half_pi(self):
-        assert_norms(run_closed(cfg_for("closed", np.pi / 2)), [0.5, 0.5, 0.0, 0.0])
+        assert_norms(run(cfg_for("closed", np.pi / 2)), [0.5, 0.5, 0.0, 0.0])
 
     def test_fringe_formula(self):
         for phi in np.linspace(0, 2 * np.pi, 20):
             expected = [np.sin(phi / 2) ** 2, np.cos(phi / 2) ** 2, 0.0, 0.0]
-            assert_norms(run_closed(cfg_for("closed", phi)), expected)
+            assert_norms(run(cfg_for("closed", phi)), expected)
 
 
 class TestWheeler:
     def test_insert_matches_closed(self):
         rng = np.random.default_rng(1)
         for phi in rng.uniform(0, 2 * np.pi, size=20):
-            w = run_wheeler_delayed(cfg_for("wheeler_delayed", phi, insert=True))
-            c = run_closed(cfg_for("closed", phi))
+            w = run(cfg_for("wheeler_delayed", phi, insert=True))
+            c = run(cfg_for("closed", phi))
             assert np.max(np.abs(w.norms_array() - c.norms_array())) < TOL
 
     def test_omit_matches_open(self):
         rng = np.random.default_rng(2)
         for phi in rng.uniform(0, 2 * np.pi, size=20):
-            w = run_wheeler_delayed(cfg_for("wheeler_delayed", phi, insert=False))
-            o = run_open(cfg_for("open", phi))
+            w = run(cfg_for("wheeler_delayed", phi, insert=False))
+            o = run(cfg_for("open", phi))
             assert np.max(np.abs(w.norms_array() - o.norms_array())) < TOL
 
 
 class TestEdcConceptual:
     def test_midpoint_insertion_quarter_three_quarter(self):
-        assert_norms(run_edc_conceptual(cfg_for("edc_conceptual", 0.0, td=0.5)),
+        assert_norms(run(cfg_for("edc_conceptual", 0.0, td=0.5)),
                      [0.25, 0.75, 0.0, 0.0])
 
     def test_closed_form_random_grid_points(self):
@@ -116,22 +107,22 @@ class TestEdcConceptual:
         for _ in range(50):
             phi = rng.uniform(0, 2 * np.pi)
             p_p = int(rng.integers(0, 501)) / 500
-            result = run_edc_conceptual(cfg_for("edc_conceptual", phi, td=p_p))
+            result = run(cfg_for("edc_conceptual", phi, td=p_p))
             p1 = np.sin(phi / 2) ** 2 + 0.5 * np.cos(phi) * p_p
             assert_norms(result, [p1, 1.0 - p1, 0.0, 0.0])
 
     def test_reduces_to_closed_samplewise(self):
         phi = 1.77
-        edc = run_edc_conceptual(cfg_for("edc_conceptual", phi, td=0.0))
-        closed = run_closed(cfg_for("closed", phi))
+        edc = run(cfg_for("edc_conceptual", phi, td=0.0))
+        closed = run(cfg_for("closed", phi))
         for det in ("D1", "D2", "D3", "D4"):
             diff = np.abs(edc.detector_waves[det].amps - closed.detector_waves[det].amps)
             assert diff.max() < TOL
 
     def test_reduces_to_open_samplewise(self):
         phi = 0.61
-        edc = run_edc_conceptual(cfg_for("edc_conceptual", phi, td=1.0))
-        opened = run_open(cfg_for("open", phi))
+        edc = run(cfg_for("edc_conceptual", phi, td=1.0))
+        opened = run(cfg_for("open", phi))
         for det in ("D1", "D2", "D3", "D4"):
             diff = np.abs(edc.detector_waves[det].amps - opened.detector_waves[det].amps)
             assert diff.max() < TOL
@@ -140,12 +131,12 @@ class TestEdcConceptual:
 class TestEdcBench:
     def test_dark_output_at_phi_zero(self):
         for td in (0.1, 0.5, 0.9):
-            result = run_edc_bench(cfg_for("edc_bench", 0.0, td=td))
+            result = run(cfg_for("edc_bench", 0.0, td=td))
             assert result.detector_norms()["D1"] == 0.0
 
     def test_half_insertion_norms(self):
         # hand-evaluated four-way split at phi=0, td=1/2
-        assert_norms(run_edc_bench(cfg_for("edc_bench", 0.0, td=0.5)),
+        assert_norms(run(cfg_for("edc_bench", 0.0, td=0.5)),
                      [0.0, 0.5, 0.25, 0.25])
 
     def test_closed_forms_random(self):
@@ -153,7 +144,7 @@ class TestEdcBench:
         for _ in range(50):
             phi = rng.uniform(0, 2 * np.pi)
             f = int(rng.integers(0, 501)) / 500
-            result = run_edc_bench(cfg_for("edc_bench", phi, td=f))
+            result = run(cfg_for("edc_bench", phi, td=f))
             expected = [(1 - f) * np.sin(phi / 2) ** 2, (1 - f) * np.cos(phi / 2) ** 2, f / 2, f / 2]
             assert_norms(result, expected)
 
@@ -187,17 +178,13 @@ class TestInvariants:
     def test_grid_refinement_stability(self):
         for samples in (500, 1000, 2000, 4000):
             cfg = cfg_for("edc_conceptual", 1.9, td=0.4, samples=samples)
-            result = run_edc_conceptual(cfg)
+            result = run(cfg)
             p1 = np.sin(1.9 / 2) ** 2 + 0.5 * np.cos(1.9) * 0.4
             assert_norms(result, [p1, 1 - p1, 0.0, 0.0])
 
     def test_p_p_linear_in_delay(self):
         for k in range(0, 501, 25):
             cfg = cfg_for("edc_bench", 0.3, td=k / 500)
-            result = run_edc_bench(cfg)
+            result = run(cfg)
             norms = result.detector_norms()
             assert abs((norms["D3"] + norms["D4"]) - k / 500) < TOL
-
-    def test_mode_dispatch_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_closed(cfg_for("open"))

@@ -1,4 +1,4 @@
-"""Element transforms: unitarity, linearity, gating."""
+"""Element transforms: unitarity and linearity."""
 
 from __future__ import annotations
 
@@ -6,15 +6,8 @@ import numpy as np
 import pytest
 
 from edcsim.errors import ConfigurationError, GridMismatchError
-from edcsim.optics import (
-    ElementSpec,
-    GateTimeline,
-    apply_phase,
-    beam_split,
-    gated_route,
-    recombine_bs2,
-)
-from edcsim.wavecore import SubWave, TimeGrid, inner_product, make_rect_pulse, norm, zero_wave
+from edcsim.optics import ElementSpec, apply_phase, beam_split, recombine_bs2
+from edcsim.wavecore import SubWave, TimeGrid, make_rect_pulse, norm, zero_wave
 
 TOL = 1e-12
 
@@ -122,51 +115,6 @@ class TestUnitarityAndLinearity:
         rhs_c = beam_split(c, d)
         for L, Ra, Rc in zip(lhs, rhs_a, rhs_c):
             assert np.allclose(L.amps, Ra.amps + Rc.amps, atol=TOL)
-
-
-class TestGatedRoute:
-    def test_fully_open_and_fully_closed(self):
-        g = grid1000()
-        w = make_rect_pulse(g, 500e-9)
-        always_high = GateTimeline(1e-6, ((0.0, 1e-6),))
-        t, r = gated_route(w, always_high)
-        assert np.array_equal(t.amps, w.amps) and norm(r) == 0.0
-        never_high = GateTimeline(1e-6, ())
-        t, r = gated_route(w, never_high)
-        assert norm(t) == 0.0 and np.array_equal(r.amps, w.amps)
-
-    def test_half_pulse_gate(self):
-        g = grid1000()
-        w = make_rect_pulse(g, 500e-9)
-        gate = GateTimeline(1e-6, ((0.0, 250e-9),))
-        t, r = gated_route(w, gate)
-        assert abs(norm(t) - 0.5) < TOL
-        assert abs(norm(r) - 0.5) < TOL
-
-    def test_partition_properties(self):
-        rng = np.random.default_rng(31)
-        g = grid1000()
-        for _ in range(20):
-            w = random_wave(g, rng)
-            edges = sorted(rng.integers(0, 1001, size=2))
-            gate = GateTimeline(1e-6, ((edges[0] * 1e-9, edges[1] * 1e-9),)) if edges[0] < edges[1] \
-                else GateTimeline(1e-6, ())
-            t, r = gated_route(w, gate)
-            assert np.array_equal(t.amps + r.amps, w.amps)
-            assert inner_product(t, r) == 0
-
-    def test_incompatible_period_rejected(self):
-        w = make_rect_pulse(grid1000(), 500e-9)
-        with pytest.raises(ConfigurationError):
-            gated_route(w, GateTimeline(1.05e-6 + 0.3e-9, ()))
-
-    def test_gate_timeline_validation(self):
-        with pytest.raises(ConfigurationError):
-            GateTimeline(1e-6, ((0.0, 2e-6),))  # beyond period
-        with pytest.raises(ConfigurationError):
-            GateTimeline(1e-6, ((0.5e-6, 0.2e-6),))  # reversed
-        with pytest.raises(ConfigurationError):
-            GateTimeline(1e-6, ((0.0, 0.5e-6), (0.4e-6, 0.8e-6)))  # overlap
 
 
 class TestElementSpec:

@@ -24,8 +24,8 @@ def grid1000():
     return TimeGrid(1000, 1e-9)
 
 
-def random_wave(grid, rng, label="w"):
-    return SubWave(grid, rng.normal(size=grid.n_samples) + 1j * rng.normal(size=grid.n_samples), label)
+def random_wave(grid, rng):
+    return SubWave(grid, rng.normal(size=grid.n_samples) + 1j * rng.normal(size=grid.n_samples))
 
 
 class TestTimeGrid:
