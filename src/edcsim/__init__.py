@@ -7,7 +7,7 @@ a reproducible counter-based Monte Carlo.  Closed-form probabilities are
 carried alongside as the validation oracle.
 """
 
-from .analytic import AnalyticPrediction, detector_probs, p_p_from_delay, predict
+from .analytic import AnalyticPrediction, detector_probs, predict
 from .benchdsl import (
     BenchParseError,
     BenchProgram,

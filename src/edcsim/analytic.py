@@ -61,17 +61,6 @@ def predict(phi: float, p_p: float) -> AnalyticPrediction:
     )
 
 
-def p_p_from_delay(td_frac: float) -> float:
-    """Passed fraction for an insertion delay given as a fraction of the pulse.
-
-    A uniform pulse makes the relation linear, so the value is ``td_frac``
-    itself; the function exists to pin the parameterization and its domain.
-    """
-    if not (np.isfinite(td_frac) and 0.0 <= td_frac <= 1.0):
-        raise DomainError(f"td_frac must lie in [0, 1], got {td_frac!r}")
-    return float(td_frac)
-
-
 def detector_probs(
     mode: str,
     phi: float,

@@ -1,4 +1,4 @@
-"""Parser, validator and formatter for ``.bench`` optical-bench files.
+r"""Parser, validator and formatter for ``.bench`` optical-bench files.
 
 A bench file declares a pulsed source, optical elements, gate signals and
 detectors, wires them into a directed graph, and optionally declares
@@ -13,10 +13,17 @@ parameter sweeps.  Grammar (EBNF):
     value     = NUMBER [ UNIT | "%" ] | NAME
     comment   = "#" ... end-of-line
 
-    KIND  = "source" | "beam_splitter" | "phase_shifter" | "mirror"
-          | "gated_router" | "detector" | "signal"
-    UNIT  = "s" | "ms" | "us" | "ns" | "ps"          (durations)
-          | "Hz" | "kHz" | "MHz" | "GHz"             (rates)
+    NAME   = [^\W\d]\w*                           (Python ``re``, Unicode)
+    NUMBER = (?:-[\d.]|\d)[\d.]*(?:[eE][+-]?\d+)?
+    KIND   = "source" | "beam_splitter" | "phase_shifter" | "mirror"
+           | "gated_router" | "detector" | "signal"
+    UNIT   = "s" | "ms" | "us" | "ns" | "ps"          (durations)
+           | "Hz" | "kHz" | "MHz" | "GHz"             (rates)
+
+PORT is a NAME.  A NUMBER has at most 400 characters, and the power of ten
+of its leading digit (``Decimal.adjusted()``) lies in [-300, 300]: nonzero
+magnitudes run from 1e-300 to just below 1e301.  Any other NUMBER is an
+``E_PARAM`` error at its position.
 
 Durations and duty cycles are kept as exact rationals (seconds) until they
 are bound to a sample grid, so unit conversions introduce no round-off.
@@ -35,9 +42,11 @@ input yields diagnostics with 1-based line/column positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ConfigurationError, TopologyError
 from .experiment import ExperimentConfig
@@ -81,6 +90,10 @@ _RATE_UNITS = {
     "MHz": Fraction(10**6),
     "GHz": Fraction(10**9),
 }
+# NUMBER range: checked before exact conversion, so every value scaled by a
+# unit stays a finite float and converting it stays cheap
+_MAX_NUMBER_CHARS = 400
+_MAX_EXPONENT = 300
 
 
 # ---------------------------------------------------------------------------
@@ -206,97 +219,87 @@ class BenchProgram:
 # Lexer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     type: str  # IDENT NUMBER { } : ; = . -> % EOF
     text: str
     line: int
     col: int
 
 
-_PUNCT = {"{": "{", "}": "}", ":": ":", ";": ";", "=": "=", ".": ".", "%": "%"}
+# alternatives are tried in order: "." is punctuation, never a number start
+_TOKEN_RE = re.compile("|".join(f"(?P<{name}>{pattern})" for name, pattern in (
+    ("WS", r"[ \t\r]+"),
+    ("IDENT", r"[^\W\d]\w*"),
+    ("PUNCT", r"[{}:;=.%]"),
+    ("NL", r"\n"),
+    ("ARROW", r"->"),
+    ("NUMBER", r"(?:-[\d.]|\d)[\d.]*(?:[eE][+-]?\d+)?"),
+    ("COMMENT", r"#[^\n]*"),
+    ("LEX", r"."),
+)))
 
 
 def _lex(text: str, diags: list) -> list[_Token]:
     tokens: list[_Token] = []
-    line_no = 1
-    col = 1
-    i = 0
-    n = len(text)
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line_no += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "-" and i + 1 < n and text[i + 1] == ">":
-            tokens.append(_Token("->", "->", line_no, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(_PUNCT[ch], ch, line_no, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("IDENT", text[i:j], line_no, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and (text[i + 1].isdigit() or text[i + 1] == ".")) or (
-            ch == "." and i + 1 < n and text[i + 1].isdigit()
-        ):
-            j = i + 1 if ch == "-" else i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            tokens.append(_Token("NUMBER", text[i:j], line_no, col))
-            col += j - i
-            i = j
-            continue
-        diags.append(ParseDiagnostic("error", line_no, col, f"unexpected character {ch!r}", Codes.LEX))
-        i += 1
-        col += 1
-
-    tokens.append(_Token("EOF", "", line_no, col))
+    line_no, line_start, end = 1, 0, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind, value, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        end = m.start() if kind == "COMMENT" else m.end()  # a comment never advances the column
+        if kind in ("IDENT", "NUMBER"):
+            tokens.append(_Token(kind, value, line_no, col))
+        elif kind in ("PUNCT", "ARROW"):
+            tokens.append(_Token(value, value, line_no, col))
+        elif kind == "NL":
+            line_no, line_start = line_no + 1, m.end()
+        elif kind == "LEX":
+            diags.append(ParseDiagnostic("error", line_no, col, f"unexpected character {value!r}", Codes.LEX))
+    tokens.append(_Token("EOF", "", line_no, end - line_start + 1))
     return tokens
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Parser and semantic analysis
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Decl:
+class _Decl(NamedTuple):
     name: str
     kind: str
     params: dict
     token: _Token
-    param_tokens: dict = field(default_factory=dict)
+    param_tokens: dict
+
+
+class _Value(NamedTuple):
+    type: str  # "number" | "percent" | "time" | "name"
+    payload: object
+
+
+class _Abandon(Exception):
+    """A syntax error was recorded; skip to the next statement."""
+
+
+_PARAM_SCHEMAS: dict[str, dict[str, str]] = {
+    "source": {"period": "time", "rate": "time", "duty": "fraction", "norm": "float", "samples": "int"},
+    "signal": {"period": "time", "rate": "time", "duty": "fraction", "delay": "time"},
+    "phase_shifter": {"phi": "float"},
+    "gated_router": {"signal": "name"},
+    "beam_splitter": {"gate": "name", "choice": "name"},
+    "mirror": {},
+    "detector": {},
+}
+_SWEEP_SCHEMA = {"start": "float", "stop": "float", "steps": "int"}
+_TARGETS = {  # parameter type: (accepted value types, diagnostic for any other value)
+    "time": (("time",), "expected a duration (e.g. '1 us') or rate (e.g. '1 MHz')"),
+    "fraction": (("percent", "number"), "expected a percentage or plain fraction"),
+    "float": (("number",), "expected a plain number"),
+    "int": (("number",), "expected an integer"),
+    "name": (("name",), "expected a name"),
+}
 
 
 class _Parser:
+    """Tokens to statements, then type-check parameters, wire the graph, run the checks."""
+
     def __init__(self, text: str):
         self.diags: list[ParseDiagnostic] = []
         self.tokens = _lex(text, self.diags)
@@ -319,11 +322,14 @@ class _Parser:
     def _warn(self, tok: _Token, message: str, code: str):
         self.diags.append(ParseDiagnostic("warning", tok.line, tok.col, message, code))
 
-    def _expect(self, type_: str, what: str) -> _Token | None:
+    def _abandon(self, tok: _Token, message: str, code: str = Codes.SYNTAX):
+        self._error(tok, message, code)
+        raise _Abandon
+
+    def _expect(self, type_: str, what: str) -> _Token:
         tok = self._peek()
         if tok.type != type_:
-            self._error(tok, f"expected {what}, found {tok.text or 'end of input'!r}")
-            return None
+            self._abandon(tok, f"expected {what}, found {tok.text or 'end of input'!r}")
         return self._next()
 
     def _recover(self):
@@ -341,317 +347,205 @@ class _Parser:
     def parse_program(self) -> tuple[BenchProgram | None, list[ParseDiagnostic]]:
         decls: list[_Decl] = []
         connects: list[tuple[Connection, _Token]] = []
-        sweeps: list[tuple[str, dict, _Token]] = []
-
-        while self._peek().type != "EOF":
-            tok = self._peek()
-            if tok.type == "IDENT" and tok.text == "element":
-                decl = self._parse_element()
-                if decl is None:
-                    self._recover()
-                else:
-                    decls.append(decl)
-            elif tok.type == "IDENT" and tok.text == "connect":
-                conn = self._parse_connect()
-                if conn is None:
-                    self._recover()
-                else:
-                    connects.append(conn)
-            elif tok.type == "IDENT" and tok.text == "sweep":
-                sw = self._parse_sweep()
-                if sw is None:
-                    self._recover()
-                else:
-                    sweeps.append(sw)
-            else:
-                self._error(tok, f"expected 'element', 'connect' or 'sweep', found {tok.text!r}")
+        sweeps: list[tuple[str, tuple[dict, dict], _Token]] = []
+        statements = {"element": (self._parse_element, decls), "connect": (self._parse_connect, connects),
+                      "sweep": (self._parse_sweep, sweeps)}
+        while (tok := self._peek()).type != "EOF":
+            try:
+                if tok.type != "IDENT" or tok.text not in statements:
+                    self._abandon(tok, f"expected 'element', 'connect' or 'sweep', found {tok.text!r}")
+                parse_statement, found = statements[tok.text]
+                found.append(parse_statement())
+            except _Abandon:
                 self._recover()
+        program = None if self._has_errors() else self._build(decls, connects, sweeps)
+        return program, self.diags
 
-        if any(d.severity == "error" for d in self.diags):
-            return None, self.diags
-        program = _Builder(self).build(decls, connects, sweeps)
-        return (program, self.diags) if program is not None else (None, self.diags)
+    def _has_errors(self) -> bool:
+        return any(d.severity == "error" for d in self.diags)
 
-    def _parse_element(self) -> _Decl | None:
+    def _parse_element(self) -> _Decl:
         self._next()  # 'element'
         name_tok = self._expect("IDENT", "an element name")
-        if name_tok is None:
-            return None
-        if self._expect(":", "':' after the element name") is None:
-            return None
+        self._expect(":", "':' after the element name")
         kind_tok = self._expect("IDENT", "an element kind")
-        if kind_tok is None:
-            return None
-        if kind_tok.text not in KINDS:
+        known = kind_tok.text in KINDS
+        if not known:
             self._error(kind_tok, f"unknown element kind {kind_tok.text!r} (expected one of {', '.join(KINDS)})",
                         Codes.UNKNOWN_KIND)
-            # keep parsing the block so later statements still get checked
-        params = self._parse_block()
-        if params is None:
-            return None
-        if kind_tok.text not in KINDS:
-            return None
-        values, tokens = params
+        values, tokens = self._parse_block()  # parsed even for an unknown kind, so its errors are reported
+        if not known:
+            raise _Abandon
         return _Decl(name_tok.text, kind_tok.text, values, name_tok, tokens)
 
-    def _parse_block(self) -> tuple[dict, dict] | None:
-        if self._expect("{", "'{'") is None:
-            return None
+    def _parse_block(self) -> tuple[dict, dict]:
+        self._expect("{", "'{'")
         values: dict = {}
         tokens: dict = {}
-        while True:
-            tok = self._peek()
-            if tok.type == "}":
-                self._next()
-                return values, tokens
+        while (tok := self._peek()).type != "}":
             if tok.type == "EOF":
-                self._error(tok, "unterminated block: missing '}'")
-                return None
+                self._abandon(tok, "unterminated block: missing '}'")
             key_tok = self._expect("IDENT", "a parameter name")
-            if key_tok is None:
-                return None
-            if self._expect("=", "'=' after the parameter name") is None:
-                return None
+            self._expect("=", "'=' after the parameter name")
             value = self._parse_value()
-            if value is None:
-                return None
-            if self._expect(";", "';' after the parameter value") is None:
-                return None
+            self._expect(";", "';' after the parameter value")
             if key_tok.text in values:
                 self._error(key_tok, f"duplicate parameter {key_tok.text!r}", Codes.PARAM)
-                continue
-            values[key_tok.text] = value
-            tokens[key_tok.text] = key_tok
+            else:
+                values[key_tok.text] = value
+                tokens[key_tok.text] = key_tok
+        self._next()
+        return values, tokens
 
-    def _parse_value(self):
+    def _parse_value(self) -> _Value:
         tok = self._peek()
-        if tok.type == "NUMBER":
-            self._next()
-            try:
-                number = Fraction(Decimal(tok.text))
-            except (InvalidOperation, ValueError):
-                self._error(tok, f"malformed number {tok.text!r}")
-                return None
-            nxt = self._peek()
-            if nxt.type == "%":
-                self._next()
-                return _Value("percent", number / 100, tok)
-            if nxt.type == "IDENT" and nxt.text in _TIME_UNITS:
-                self._next()
-                return _Value("time", number * _TIME_UNITS[nxt.text], tok)
-            if nxt.type == "IDENT" and nxt.text in _RATE_UNITS:
-                self._next()
-                if number <= 0:
-                    self._error(tok, "rate must be positive", Codes.PARAM)
-                    return None
-                return _Value("time", 1 / (number * _RATE_UNITS[nxt.text]), tok, from_rate=True)
-            if nxt.type == "IDENT":
-                self._error(nxt, f"unknown unit {nxt.text!r}", Codes.PARAM)
-                return None
-            return _Value("number", number, tok)
         if tok.type == "IDENT":
+            return _Value("name", self._next().text)
+        if tok.type != "NUMBER":
+            self._abandon(tok, f"expected a value, found {tok.text or 'end of input'!r}")
+        self._next()
+        number = self._number(tok)
+        nxt = self._peek()
+        if nxt.type == "%":
             self._next()
-            return _Value("name", tok.text, tok)
-        self._error(tok, f"expected a value, found {tok.text or 'end of input'!r}")
-        return None
+            return _Value("percent", number / 100)
+        if nxt.type != "IDENT":
+            return _Value("number", number)
+        if nxt.text in _TIME_UNITS:
+            self._next()
+            return _Value("time", number * _TIME_UNITS[nxt.text])
+        if nxt.text not in _RATE_UNITS:
+            self._abandon(nxt, f"unknown unit {nxt.text!r}", Codes.PARAM)
+        self._next()
+        if number <= 0:
+            self._abandon(tok, "rate must be positive", Codes.PARAM)
+        return _Value("time", 1 / (number * _RATE_UNITS[nxt.text]))
 
-    def _parse_connect(self) -> tuple[Connection, _Token] | None:
+    def _number(self, tok: _Token) -> Fraction:
+        """Exact value of a NUMBER token, checked against the range before any big-integer work."""
+        out_of_range = "number out of range: at most 400 characters and a decimal exponent from -300 to 300"
+        if len(tok.text) > _MAX_NUMBER_CHARS:
+            self._abandon(tok, out_of_range, Codes.PARAM)
+        try:
+            number = Decimal(tok.text)
+        except InvalidOperation:
+            self._abandon(tok, f"malformed number {tok.text!r}")
+        if abs(number.adjusted()) > _MAX_EXPONENT:
+            self._abandon(tok, out_of_range, Codes.PARAM)
+        return Fraction(number)
+
+    def _parse_connect(self) -> tuple[Connection, _Token]:
         kw = self._next()  # 'connect'
         parts = []
         for side in ("source", "destination"):
             name_tok = self._expect("IDENT", f"the {side} element name")
-            if name_tok is None:
-                return None
-            if self._expect(".", f"'.' between the {side} element and its port") is None:
-                return None
-            port_tok = self._expect("IDENT", f"the {side} port name")
-            if port_tok is None:
-                return None
-            parts.append((name_tok.text, port_tok.text))
-            if side == "source" and self._expect("->", "'->'") is None:
-                return None
+            self._expect(".", f"'.' between the {side} element and its port")
+            parts.append((name_tok.text, self._expect("IDENT", f"the {side} port name").text))
+            if side == "source":
+                self._expect("->", "'->'")
         (src, sp), (dst, dp) = parts
         return Connection(src, sp, dst, dp), kw
 
-    def _parse_sweep(self) -> tuple[str, dict, _Token] | None:
+    def _parse_sweep(self) -> tuple[str, tuple[dict, dict], _Token]:
         self._next()  # 'sweep'
         var_tok = self._expect("IDENT", "a sweep variable ('phi' or 'td_frac')")
-        if var_tok is None:
-            return None
-        if var_tok.text not in SWEEP_VARS:
+        known = var_tok.text in SWEEP_VARS
+        if not known:
             self._error(var_tok, f"unknown sweep variable {var_tok.text!r}", Codes.SWEEP)
-        params = self._parse_block()
-        if params is None or var_tok.text not in SWEEP_VARS:
-            return None
+        params = self._parse_block()  # parsed even for an unknown variable, so its errors are reported
+        if not known:
+            raise _Abandon
         return var_tok.text, params, var_tok
 
+    # -- program ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Value:
-    type: str  # "number" | "percent" | "time" | "name"
-    payload: object
-    token: _Token
-    from_rate: bool = False
-
-
-# ---------------------------------------------------------------------------
-# Semantic analysis
-# ---------------------------------------------------------------------------
-
-_PARAM_SCHEMAS: dict[str, dict[str, str]] = {
-    "source": {"period": "time", "rate": "time", "duty": "fraction", "norm": "float", "samples": "int"},
-    "signal": {"period": "time", "rate": "time", "duty": "fraction", "delay": "time"},
-    "phase_shifter": {"phi": "float"},
-    "gated_router": {"signal": "name"},
-    "beam_splitter": {"gate": "name", "choice": "name"},
-    "mirror": {},
-    "detector": {},
-}
-_SWEEP_SCHEMA = {"start": "float", "stop": "float", "steps": "int"}
-
-
-class _Builder:
-    """Second pass: type-check parameters, wire the graph, run the checks."""
-
-    def __init__(self, parser: _Parser):
-        self.p = parser
-
-    def build(self, decls, connects, sweeps) -> BenchProgram | None:
-        p = self.p
+    def _build(self, decls, connects, sweeps) -> BenchProgram | None:
         by_name: dict[str, _Decl] = {}
         for decl in decls:
             if decl.name in by_name:
-                p._error(decl.token, f"duplicate name {decl.name!r}", Codes.DUP_NAME)
-                continue
-            by_name[decl.name] = decl
+                self._error(decl.token, f"duplicate name {decl.name!r}", Codes.DUP_NAME)
+            else:
+                by_name[decl.name] = decl
+        unique = list(by_name.values())
 
-        sources = [d for d in decls if d.kind == "source" and by_name.get(d.name) is d]
+        sources = [d for d in unique if d.kind == "source"]
         if not sources:
-            p.diags.append(ParseDiagnostic("error", 1, 1, "no source declared", Codes.NO_SOURCE))
+            self.diags.append(ParseDiagnostic("error", 1, 1, "no source declared", Codes.NO_SOURCE))
         for extra in sources[1:]:
-            p._error(extra.token, "more than one source declared", Codes.MULTI_SOURCE)
+            self._error(extra.token, "more than one source declared", Codes.MULTI_SOURCE)
 
-        detectors = [d for d in decls if d.kind == "detector" and by_name.get(d.name) is d]
+        detectors = [d.name for d in unique if d.kind == "detector"]
         if sources and not detectors:
-            p.diags.append(ParseDiagnostic("error", 1, 1, "no detector declared", Codes.NO_DETECTOR))
+            self.diags.append(ParseDiagnostic("error", 1, 1, "no detector declared", Codes.NO_DETECTOR))
 
-        typed: dict[str, dict] = {}
-        for decl in by_name.values():
-            typed[decl.name] = self._check_params(decl)
-
+        typed = {decl.name: self._check_params(decl) for decl in unique}
         self._check_signal_refs(by_name, typed)
         self._check_wiring(by_name, connects)
         sweep_ranges = self._check_sweeps(sweeps)
-
-        if any(d.severity == "error" for d in p.diags):
+        if self._has_errors():
             return None
 
-        src = sources[0]
-        source = SourceSpec(
-            name=src.name,
-            period=typed[src.name]["period"],
-            duty=typed[src.name].get("duty", Fraction(1, 2)),
-            norm=typed[src.name].get("norm", 1.0),
-            samples=typed[src.name].get("samples"),
-        )
-        signals = tuple(
-            SignalSpec(
-                name=d.name,
-                period=typed[d.name]["period"],
-                duty=typed[d.name].get("duty", Fraction(1, 2)),
-                delay=typed[d.name].get("delay", Fraction(0)),
-            )
-            for d in decls
-            if d.kind == "signal" and by_name.get(d.name) is d
-        )
-        elements = tuple(
-            ElementSpec(d.name, d.kind, dict(typed[d.name]))
-            for d in decls
-            if d.kind in ELEMENT_PORTS and by_name.get(d.name) is d
-        )
+        src = typed[sources[0].name]
         return BenchProgram(
-            source=source,
-            elements=elements,
-            signals=signals,
-            detectors=tuple(d.name for d in detectors),
+            source=SourceSpec(sources[0].name, src["period"], src.get("duty", Fraction(1, 2)),
+                              src.get("norm", 1.0), src.get("samples")),
+            elements=tuple(ElementSpec(d.name, d.kind, dict(typed[d.name])) for d in unique if d.kind in ELEMENT_PORTS),
+            signals=tuple(
+                SignalSpec(d.name, typed[d.name]["period"], typed[d.name].get("duty", Fraction(1, 2)),
+                           typed[d.name].get("delay", Fraction(0)))
+                for d in unique if d.kind == "signal"
+            ),
+            detectors=tuple(detectors),
             wiring=tuple(c for c, _ in connects),
             sweeps=sweep_ranges,
         )
 
-    # -- parameters ---------------------------------------------------------
-
     def _check_params(self, decl: _Decl) -> dict:
-        p = self.p
         schema = _PARAM_SCHEMAS[decl.kind]
         out: dict = {}
         for key, value in decl.params.items():
             tok = decl.param_tokens[key]
             if key not in schema:
-                p._error(tok, f"{decl.kind} has no parameter {key!r}", Codes.PARAM)
+                self._error(tok, f"{decl.kind} has no parameter {key!r}", Codes.PARAM)
                 continue
             converted = self._convert(value, schema[key], tok)
             if converted is not None:
                 out["period" if key == "rate" else key] = converted
         if decl.kind in ("source", "signal"):
             if "period" in decl.params and "rate" in decl.params:
-                p._error(decl.token, f"{decl.kind} {decl.name!r} must give either period or rate, not both",
-                         Codes.PARAM)
+                self._error(decl.token, f"{decl.kind} {decl.name!r} must give either period or rate, not both",
+                            Codes.PARAM)
             elif "period" not in out:
-                p._error(decl.token, f"{decl.kind} {decl.name!r} needs a period or rate", Codes.PARAM)
+                self._error(decl.token, f"{decl.kind} {decl.name!r} needs a period or rate", Codes.PARAM)
             elif out["period"] <= 0:
-                p._error(decl.token, f"{decl.kind} period must be positive", Codes.PARAM)
+                self._error(decl.token, f"{decl.kind} period must be positive", Codes.PARAM)
             duty = out.get("duty")
             if duty is not None and not 0 < duty < 1:
-                p._error(decl.token, "duty must lie strictly between 0% and 100%", Codes.PARAM)
+                self._error(decl.token, "duty must lie strictly between 0% and 100%", Codes.PARAM)
             delay = out.get("delay")
             if delay is not None and "period" in out and not 0 <= delay < out["period"]:
-                p._error(decl.param_tokens["delay"], "signal delay must lie within one period",
-                         Codes.SIGNAL_RANGE)
+                self._error(decl.param_tokens["delay"], "signal delay must lie within one period",
+                            Codes.SIGNAL_RANGE)
         if decl.kind == "gated_router" and "signal" not in out:
-            p._error(decl.token, f"gated_router {decl.name!r} needs a signal", Codes.PARAM)
+            self._error(decl.token, f"gated_router {decl.name!r} needs a signal", Codes.PARAM)
         if decl.kind == "beam_splitter" and "gate" in out and "choice" in out:
-            p._error(decl.token, "a beam splitter cannot carry both gate and choice", Codes.PARAM)
+            self._error(decl.token, "a beam splitter cannot carry both gate and choice", Codes.PARAM)
         if decl.kind == "beam_splitter" and out.get("choice") not in (None, "insert", "omit"):
-            p._error(decl.param_tokens["choice"], "choice must be 'insert' or 'omit'", Codes.PARAM)
+            self._error(decl.param_tokens["choice"], "choice must be 'insert' or 'omit'", Codes.PARAM)
         if decl.kind == "source" and "samples" in out and out["samples"] < 2:
-            p._error(decl.param_tokens["samples"], "samples must be an integer >= 2", Codes.PARAM)
+            self._error(decl.param_tokens["samples"], "samples must be an integer >= 2", Codes.PARAM)
         return out
 
     def _convert(self, value: _Value, target: str, tok: _Token):
-        p = self.p
-        if target == "time":
-            if value.type != "time":
-                p._error(tok, "expected a duration (e.g. '1 us') or rate (e.g. '1 MHz')", Codes.PARAM)
-                return None
-            return value.payload
-        if target == "fraction":
-            if value.type == "percent":
-                return value.payload
-            if value.type == "number":
-                return value.payload
-            p._error(tok, "expected a percentage or plain fraction", Codes.PARAM)
+        accepted, message = _TARGETS[target]
+        if value.type not in accepted or (target == "int" and value.payload.denominator != 1):
+            self._error(tok, message, Codes.PARAM)
             return None
         if target == "float":
-            if value.type != "number":
-                p._error(tok, "expected a plain number", Codes.PARAM)
-                return None
             return float(value.payload)
-        if target == "int":
-            if value.type != "number" or value.payload.denominator != 1:
-                p._error(tok, "expected an integer", Codes.PARAM)
-                return None
-            return int(value.payload)
-        if target == "name":
-            if value.type != "name":
-                p._error(tok, "expected a name", Codes.PARAM)
-                return None
-            return value.payload
-        raise AssertionError(target)
-
-    # -- signals ------------------------------------------------------------
+        return int(value.payload) if target == "int" else value.payload
 
     def _check_signal_refs(self, by_name, typed):
-        p = self.p
         referenced = set()
         for decl in by_name.values():
             for key in ("signal", "gate"):
@@ -661,131 +555,109 @@ class _Builder:
                 referenced.add(ref)
                 target = by_name.get(ref)
                 if target is None or target.kind != "signal":
-                    p._error(decl.param_tokens[key], f"{key} references undeclared signal {ref!r}",
-                             Codes.UNDECLARED_SIGNAL)
+                    self._error(decl.param_tokens[key], f"{key} references undeclared signal {ref!r}",
+                                Codes.UNDECLARED_SIGNAL)
         for decl in by_name.values():
             if decl.kind == "signal" and decl.name not in referenced:
-                p._warn(decl.token, f"signal {decl.name!r} is never referenced", Codes.UNUSED_SIGNAL)
-
-    # -- wiring -------------------------------------------------------------
+                self._warn(decl.token, f"signal {decl.name!r} is never referenced", Codes.UNUSED_SIGNAL)
 
     def _check_wiring(self, by_name, connects):
-        p = self.p
-        fed: dict[tuple[str, str], _Token] = {}
-        driven: dict[tuple[str, str], _Token] = {}
-        edges: list[tuple[str, str, _Token]] = []
+        fed: set[tuple[str, str]] = set()
+        driven: set[tuple[str, str]] = set()
+        adjacency: dict[str, list[tuple[str, _Token]]] = {name: [] for name in by_name}
         for conn, tok in connects:
             ok = True
-            for name, port, direction in (
-                (conn.src, conn.src_port, "out"),
-                (conn.dst, conn.dst_port, "in"),
-            ):
+            # _PORTS holds (inputs, outputs): index 1 for the source side, 0 for the destination
+            for name, port, role, side in ((conn.src, conn.src_port, "output", 1),
+                                           (conn.dst, conn.dst_port, "input", 0)):
                 decl = by_name.get(name)
                 if decl is None:
-                    p._error(tok, f"connection references undeclared element {name!r}", Codes.DANGLING_PORT)
+                    self._error(tok, f"connection references undeclared element {name!r}", Codes.DANGLING_PORT)
                     ok = False
-                    continue
-                ins, outs = _PORTS[decl.kind]
-                ports = outs if direction == "out" else ins
-                if port not in ports:
-                    role = "output" if direction == "out" else "input"
-                    p._error(tok, f"{decl.kind} {name!r} has no {role} port {port!r}", Codes.DANGLING_PORT)
+                elif port not in _PORTS[decl.kind][side]:
+                    self._error(tok, f"{decl.kind} {name!r} has no {role} port {port!r}", Codes.DANGLING_PORT)
                     ok = False
             if not ok:
                 continue
             src_key = (conn.src, conn.src_port)
             dst_key = (conn.dst, conn.dst_port)
             if src_key in driven:
-                p._error(tok, f"output {conn.src}.{conn.src_port} is already connected", Codes.DUP_CONNECTION)
-                continue
-            if dst_key in fed:
-                p._error(tok, f"input {conn.dst}.{conn.dst_port} is already connected", Codes.DUP_CONNECTION)
-                continue
-            driven[src_key] = tok
-            fed[dst_key] = tok
-            edges.append((conn.src, conn.dst, tok))
+                self._error(tok, f"output {conn.src}.{conn.src_port} is already connected", Codes.DUP_CONNECTION)
+            elif dst_key in fed:
+                self._error(tok, f"input {conn.dst}.{conn.dst_port} is already connected", Codes.DUP_CONNECTION)
+            else:
+                driven.add(src_key)
+                fed.add(dst_key)
+                adjacency[conn.src].append((conn.dst, tok))
 
         for decl in by_name.values():
             ins, outs = _PORTS[decl.kind]
             for port in outs:
                 if (decl.name, port) not in driven:
-                    p._error(decl.token, f"output port {decl.name}.{port} is not connected", Codes.UNCONNECTED)
+                    self._error(decl.token, f"output port {decl.name}.{port} is not connected", Codes.UNCONNECTED)
             if decl.kind == "beam_splitter":
                 if not any((decl.name, port) in fed for port in ins):
-                    p._error(decl.token, f"beam splitter {decl.name!r} has no connected input", Codes.UNCONNECTED)
+                    self._error(decl.token, f"beam splitter {decl.name!r} has no connected input",
+                                Codes.UNCONNECTED)
             else:
                 for port in ins:
                     if (decl.name, port) not in fed:
-                        p._error(decl.token, f"input port {decl.name}.{port} is not connected", Codes.UNCONNECTED)
+                        self._error(decl.token, f"input port {decl.name}.{port} is not connected",
+                                    Codes.UNCONNECTED)
 
-        self._check_acyclic(by_name, edges)
+        self._check_acyclic(adjacency)
 
-    def _check_acyclic(self, by_name, edges):
-        p = self.p
-        adjacency: dict[str, list[tuple[str, _Token]]] = {name: [] for name in by_name}
-        for src, dst, tok in edges:
-            adjacency[src].append((dst, tok))
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = {name: WHITE for name in adjacency}
-
-        def visit(node) -> _Token | None:
-            color[node] = GRAY
-            for nxt, tok in adjacency[node]:
-                if color[nxt] == GRAY:
-                    return tok
-                if color[nxt] == WHITE:
-                    found = visit(nxt)
-                    if found is not None:
-                        return found
-            color[node] = BLACK
-            return None
-
-        for name in adjacency:
-            if color[name] == WHITE:
-                tok = visit(name)
-                if tok is not None:
-                    p._error(tok, "wiring contains a cycle", Codes.CYCLE)
-                    return
-
-    # -- sweeps -------------------------------------------------------------
+    def _check_acyclic(self, adjacency):
+        """Depth-first search with an explicit stack; reports the first edge that closes a cycle."""
+        on_path: dict[str, bool] = {}  # absent: unvisited; True: on the current path; False: finished
+        for root in adjacency:
+            if root in on_path:
+                continue
+            on_path[root] = True
+            stack = [(root, iter(adjacency[root]))]
+            while stack:
+                node, edges = stack[-1]
+                for nxt, tok in edges:
+                    if on_path.get(nxt):
+                        self._error(tok, "wiring contains a cycle", Codes.CYCLE)
+                        return
+                    if nxt not in on_path:
+                        on_path[nxt] = True
+                        stack.append((nxt, iter(adjacency[nxt])))
+                        break
+                else:
+                    on_path[node] = False
+                    stack.pop()
 
     def _check_sweeps(self, sweeps) -> tuple[SweepRange, ...]:
-        p = self.p
         out = []
         seen = set()
         for var, (values, tokens), tok in sweeps:
             if var in seen:
-                p._error(tok, f"duplicate sweep over {var!r}", Codes.SWEEP)
+                self._error(tok, f"duplicate sweep over {var!r}", Codes.SWEEP)
                 continue
             seen.add(var)
             fields = {}
-            bad = False
             for key in _SWEEP_SCHEMA:
                 if key not in values:
-                    p._error(tok, f"sweep needs {key!r}", Codes.SWEEP)
-                    bad = True
+                    self._error(tok, f"sweep needs {key!r}", Codes.SWEEP)
                     continue
                 converted = self._convert(values[key], _SWEEP_SCHEMA[key], tokens[key])
-                if converted is None:
-                    bad = True
-                else:
+                if converted is not None:
                     fields[key] = converted
             for key in values:
                 if key not in _SWEEP_SCHEMA:
-                    p._error(tokens[key], f"sweep has no parameter {key!r}", Codes.SWEEP)
-                    bad = True
-            if bad:
+                    self._error(tokens[key], f"sweep has no parameter {key!r}", Codes.SWEEP)
+            if not fields.keys() == values.keys() == _SWEEP_SCHEMA.keys():
                 continue
             if fields["steps"] < 2:
-                p._error(tokens["steps"], "sweep needs at least 2 steps", Codes.SWEEP)
-                continue
-            if not fields["start"] < fields["stop"]:
-                p._error(tokens["start"], "sweep start must be below stop", Codes.SWEEP)
-                continue
-            if var == "td_frac" and not (0 <= fields["start"] and fields["stop"] <= 1):
-                p._error(tokens["start"], "td_frac sweep must stay within [0, 1]", Codes.SWEEP)
-                continue
-            out.append(SweepRange(var, fields["start"], fields["stop"], fields["steps"]))
+                self._error(tokens["steps"], "sweep needs at least 2 steps", Codes.SWEEP)
+            elif not fields["start"] < fields["stop"]:
+                self._error(tokens["start"], "sweep start must be below stop", Codes.SWEEP)
+            elif var == "td_frac" and not (0 <= fields["start"] and fields["stop"] <= 1):
+                self._error(tokens["start"], "td_frac sweep must stay within [0, 1]", Codes.SWEEP)
+            else:
+                out.append(SweepRange(var, fields["start"], fields["stop"], fields["steps"]))
         return tuple(out)
 
 
@@ -815,17 +687,9 @@ def format_bench(prog: BenchProgram) -> str:
         params.append(f"samples = {src.samples}")
     lines.append(_element_line(src.name, "source", params))
     for sig in prog.signals:
-        lines.append(
-            _element_line(
-                sig.name,
-                "signal",
-                [
-                    f"period = {_fmt_time(sig.period)}",
-                    f"duty = {_fmt_percent(sig.duty)}",
-                    f"delay = {_fmt_time(sig.delay)}",
-                ],
-            )
-        )
+        params = [f"period = {_fmt_time(sig.period)}", f"duty = {_fmt_percent(sig.duty)}",
+                  f"delay = {_fmt_time(sig.delay)}"]
+        lines.append(_element_line(sig.name, "signal", params))
     for el in prog.elements:
         params = []
         for key in _PARAM_SCHEMAS[el.kind]:
@@ -839,17 +703,13 @@ def format_bench(prog: BenchProgram) -> str:
     for conn in prog.wiring:
         lines.append(f"connect {conn.src}.{conn.src_port} -> {conn.dst}.{conn.dst_port}")
     for sw in prog.sweeps:
-        lines.append(
-            f"sweep {sw.variable} {{ start = {sw.start!r}; stop = {sw.stop!r}; steps = {sw.steps}; }}"
-        )
+        lines.append(f"sweep {sw.variable} {{ start = {sw.start!r}; stop = {sw.stop!r}; steps = {sw.steps}; }}")
     return "\n".join(lines) + "\n"
 
 
 def _element_line(name: str, kind: str, params: list[str]) -> str:
-    if not params:
-        return f"element {name} : {kind} {{ }}"
-    body = " ".join(f"{p};" for p in params)
-    return f"element {name} : {kind} {{ {body} }}"
+    body = "".join(f"{p}; " for p in params)
+    return f"element {name} : {kind} {{ {body}}}"
 
 
 def _fmt_time(value: Fraction) -> str:
@@ -914,8 +774,7 @@ def to_experiment_config(
         raise ConfigurationError(f"bench program maps to an invalid configuration: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class _Recognized:
+class _Recognized(NamedTuple):
     mode: str
     phi: float
     td_frac: float
@@ -941,14 +800,9 @@ def _classify(prog: BenchProgram) -> _Recognized:
         raise TopologyError("experiment modes require a 50% duty source pulse")
     if prog.source.norm != 1.0:
         raise TopologyError("experiment modes require a unit-norm source")
-    kind_of = {prog.source.name: "source"}
-    params_of: dict[str, dict] = {prog.source.name: {}}
-    for el in prog.elements:
-        kind_of[el.name] = el.kind
-        params_of[el.name] = dict(el.params)
-    for det in prog.detectors:
-        kind_of[det] = "detector"
-        params_of[det] = {}
+    kind_of = {prog.source.name: "source", **{el.name: el.kind for el in prog.elements},
+               **dict.fromkeys(prog.detectors, "detector")}
+    params_of = {el.name: el.params for el in prog.elements}
     conn = {(c.src, c.src_port): (c.dst, c.dst_port) for c in prog.wiring}
 
     def chase(name: str, port: str) -> tuple[str, str, float]:
@@ -960,82 +814,64 @@ def _classify(prog: BenchProgram) -> _Recognized:
             kind = kind_of[el]
             if kind == "phase_shifter":
                 phase += params_of[el].get("phi", 0.0)
-                nxt = conn.get((el, "out"))
-            elif kind == "mirror":
-                nxt = conn.get((el, "out"))
-            else:
+            elif kind != "mirror":
                 return el, in_port, phase
+            nxt = conn.get((el, "out"))
         _reject(prog, f"path from {name}.{port} ends without reaching a junction or detector")
 
-    first, _, _ = chase(prog.source.name, "out")
-    if kind_of[first] != "beam_splitter":
+    def recombine(bs2: str, paths: str, port_a: str, phase_a: float, port_b: str, phase_b: float) -> float:
+        """Both paths enter distinct inputs of ``bs2``, which feeds two detectors; their relative phase."""
+        if {port_a, port_b} != {"in1", "in2"}:
+            _reject(prog, f"{paths} must enter distinct inputs of the output beam splitter")
+        for out_port in ("out1", "out2"):
+            if kind_of[chase(bs2, out_port)[0]] != "detector":
+                _reject(prog, "the output beam splitter must feed two detectors")
+        return phase_a - phase_b if port_a == "in1" else phase_b - phase_a
+
+    def require_detectors(layout: str, count: str):
+        if len(prog.detectors) != {"two": 2, "four": 4}[count]:
+            _reject(prog, f"{layout} layout must use exactly {count} detectors")
+
+    bs1, _, _ = chase(prog.source.name, "out")
+    if kind_of[bs1] != "beam_splitter":
         _reject(prog, "the source must feed the input beam splitter")
-    bs1 = first
-    arm_a = chase(bs1, "out1")
-    arm_b = chase(bs1, "out2")
+    end_a, port_a, phase_a = chase(bs1, "out1")
+    end_b, port_b, phase_b = chase(bs1, "out2")
 
     # open layout: both arms end on detectors
-    if kind_of[arm_a[0]] == "detector" and kind_of[arm_b[0]] == "detector":
-        if len(prog.detectors) != 2:
-            _reject(prog, "an open layout must use exactly two detectors")
-        return _Recognized("open", arm_a[2] - arm_b[2], 0.0, None)
+    if kind_of[end_a] == "detector" and kind_of[end_b] == "detector":
+        require_detectors("an open", "two")
+        return _Recognized("open", phase_a - phase_b, 0.0, None)
 
     # closed family: both arms meet a second splitter
-    if arm_a[0] == arm_b[0] and kind_of[arm_a[0]] == "beam_splitter":
-        bs2 = arm_a[0]
-        if {arm_a[1], arm_b[1]} != {"in1", "in2"}:
-            _reject(prog, "both arms must enter distinct inputs of the output beam splitter")
-        phi_derived = arm_a[2] - arm_b[2] if arm_a[1] == "in1" else arm_b[2] - arm_a[2]
-        for out_port in ("out1", "out2"):
-            el, _, _ = chase(bs2, out_port)
-            if kind_of[el] != "detector":
-                _reject(prog, "the output beam splitter must feed two detectors")
-        if len(prog.detectors) != 2:
-            _reject(prog, "a closed layout must use exactly two detectors")
-        bs2_params = params_of[bs2]
+    if end_a == end_b and kind_of[end_a] == "beam_splitter":
+        phi = recombine(end_a, "both arms", port_a, phase_a, port_b, phase_b)
+        require_detectors("a closed", "two")
+        bs2_params = params_of[end_a]
         if "choice" in bs2_params:
-            return _Recognized("wheeler_delayed", phi_derived, 0.0, bs2_params["choice"] == "insert")
+            return _Recognized("wheeler_delayed", phi, 0.0, bs2_params["choice"] == "insert")
         if "gate" in bs2_params:
-            td = _prefix_td_frac(prog, bs2_params["gate"])
-            return _Recognized("edc_conceptual", phi_derived, td, None)
-        return _Recognized("closed", phi_derived, 0.0, None)
+            return _Recognized("edc_conceptual", phi, _prefix_td_frac(prog, bs2_params["gate"]), None)
+        return _Recognized("closed", phi, 0.0, None)
 
     # bench layout: both arms hit gated routers
-    if (
-        kind_of[arm_a[0]] == "gated_router"
-        and kind_of[arm_b[0]] == "gated_router"
-        and arm_a[0] != arm_b[0]
-    ):
-        router_a, router_b = arm_a[0], arm_b[0]
-        sig_a = params_of[router_a]["signal"]
-        sig_b = params_of[router_b]["signal"]
-        if sig_a != sig_b:
+    if kind_of[end_a] == "gated_router" and kind_of[end_b] == "gated_router" and end_a != end_b:
+        signal = params_of[end_a]["signal"]
+        if params_of[end_b]["signal"] != signal:
             _reject(prog, "the two arm routers must share one gate signal (in-phase constraint)")
-        refl_a = chase(router_a, "reflect")
-        refl_b = chase(router_b, "reflect")
-        if refl_a[0] != refl_b[0] or kind_of[refl_a[0]] != "beam_splitter":
+        bs2, refl_port_a, refl_phase_a = chase(end_a, "reflect")
+        bs2_b, refl_port_b, refl_phase_b = chase(end_b, "reflect")
+        if bs2 != bs2_b or kind_of[bs2] != "beam_splitter":
             _reject(prog, "both reflected paths must meet the output beam splitter")
-        bs2 = refl_a[0]
         if params_of[bs2]:
             _reject(prog, "the bench output beam splitter takes no gate or choice")
-        if {refl_a[1], refl_b[1]} != {"in1", "in2"}:
-            _reject(prog, "reflected paths must enter distinct inputs of the output beam splitter")
-        for out_port in ("out1", "out2"):
-            el, _, _ = chase(bs2, out_port)
-            if kind_of[el] != "detector":
-                _reject(prog, "the output beam splitter must feed two detectors")
-        for router in (router_a, router_b):
-            el, _, _ = chase(router, "transmit")
-            if kind_of[el] != "detector":
+        phi = recombine(bs2, "reflected paths", refl_port_a, phase_a + refl_phase_a,
+                        refl_port_b, phase_b + refl_phase_b)
+        for router in (end_a, end_b):
+            if kind_of[chase(router, "transmit")[0]] != "detector":
                 _reject(prog, "each router's transmitted path must feed a detector")
-        if len(prog.detectors) != 4:
-            _reject(prog, "a bench layout must use exactly four detectors")
-        if refl_a[1] == "in1":
-            phi_derived = (arm_a[2] + refl_a[2]) - (arm_b[2] + refl_b[2])
-        else:
-            phi_derived = (arm_b[2] + refl_b[2]) - (arm_a[2] + refl_a[2])
-        td = _prefix_td_frac(prog, sig_a)
-        return _Recognized("edc_bench", phi_derived, td, None)
+        require_detectors("a bench", "four")
+        return _Recognized("edc_bench", phi, _prefix_td_frac(prog, signal), None)
 
     _reject(prog, "wiring does not match any known layout")
 

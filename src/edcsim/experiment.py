@@ -47,6 +47,8 @@ EDC_MODES = ("edc_conceptual", "edc_bench")
 DETECTOR_IDS = ("D1", "D2", "D3", "D4")
 
 _SEED_MAX = 2**64
+# the longest complex128 amplitude array whose size in bytes numpy can represent
+_DIM_MAX = np.iinfo(np.intp).max // np.dtype(np.complex128).itemsize
 
 
 def check_seed(seed) -> None:
@@ -86,8 +88,9 @@ class ExperimentConfig:
             raise ConfigurationError(f"td_frac is only meaningful in EDC modes, got {self.td_frac!r} for {self.mode!r}")
         if not (np.isfinite(self.period) and self.period > 0):
             raise ConfigurationError(f"period must be positive, got {self.period!r}")
-        if not isinstance(self.samples_per_period, (int, np.integer)) or self.samples_per_period < 2:
-            raise ConfigurationError(f"samples_per_period must be an integer >= 2, got {self.samples_per_period!r}")
+        if not isinstance(self.samples_per_period, (int, np.integer)) or not 2 <= self.samples_per_period <= _DIM_MAX:
+            raise ConfigurationError(
+                f"samples_per_period must be an integer from 2 to {_DIM_MAX}, got {self.samples_per_period!r}")
         if self.samples_per_period % 2 != 0:
             raise ConfigurationError("samples_per_period must be even so the half-period pulse is sample-aligned")
         if not isinstance(self.n_photons, (int, np.integer)) or self.n_photons < 1:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from edcsim.analytic import detector_probs, p_p_from_delay, predict
+from edcsim.analytic import detector_probs, predict
 from edcsim.errors import DomainError
 
 
@@ -54,18 +54,6 @@ class TestPredict:
             predict(0.0, 1.1)
         with pytest.raises(DomainError):
             predict(np.nan, 0.5)
-
-
-class TestDelayMapping:
-    @pytest.mark.parametrize("td", [0.0, 0.5, 1.0])
-    def test_linear_identity(self, td):
-        assert p_p_from_delay(td) == td
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            p_p_from_delay(-0.01)
-        with pytest.raises(DomainError):
-            p_p_from_delay(1.01)
 
 
 class TestOracleAgreement:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -11,11 +12,13 @@ import pytest
 from edcsim.benchdsl import (
     BenchParseError,
     Codes,
+    _lex,
     format_bench,
     parse,
     to_experiment_config,
     try_parse,
 )
+from edcsim.cli import main
 from edcsim.errors import ConfigurationError, TopologyError
 
 MALFORMED_DIR = Path(__file__).parent / "data" / "malformed"
@@ -249,3 +252,84 @@ class TestTopologyInference:
         prog = parse(shipped_text("edc_bench"))
         with pytest.raises(ConfigurationError):
             to_experiment_config(prog, td_frac=1.5)
+
+
+class TestNumberRange:
+    """Numbers beyond 400 characters or a decimal exponent of +-300 are E_PARAM errors."""
+
+    @pytest.mark.parametrize("name, old, number", [
+        ("closed", "phi = 0.0", "1e400"),
+        ("closed", "period = 1 us", "1e400"),
+        ("edc_conceptual", "stop = 6.283185307179586", "1e400"),
+        ("closed", "period = 1 us", "1e1000000000"),
+        ("closed", "phi = 0.0", "7" * 10**6),
+        ("closed", "phi = 0.0", "1e-301"),
+        ("closed", "phi = 0.0", "1" * 401),
+    ], ids=["phi", "period", "sweep_stop", "huge_exponent", "million_digits", "tiny", "401_chars"])
+    def test_out_of_range_exits_2_with_one_diagnostic(self, name, old, number, capsys, tmp_path):
+        key = old.split(" = ")[0]
+        unit = " us" if key == "period" else ""
+        text = shipped_text(name).replace(old, f"{key} = {number}{unit}")
+        path = tmp_path / "range.bench"
+        path.write_text(text, encoding="utf-8")
+        line_no = text[:text.index(number)].count("\n") + 1
+        col = text.index(number) - text.rfind("\n", 0, text.index(number))
+        start = time.perf_counter()
+        code = main(["run", "--bench", str(path), "--photons", "100"])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 2 and elapsed < 2.0
+        assert "Traceback" not in err
+        assert err == f"{path}:{line_no}:{col}: error [{Codes.PARAM}] number out of range: at most 400 characters " \
+                      "and a decimal exponent from -300 to 300\n"
+
+    @pytest.mark.parametrize("number", ["1e300", "9.99e300", "-1e300", "1e-300", "0", "0.000", "0." + "1" * 398],
+                             ids=["1e300", "9.99e300", "-1e300", "1e-300", "0", "0.000", "400_chars"])
+    def test_in_range_numbers_parse(self, number):
+        prog = parse(shipped_text("closed").replace("phi = 0.0", f"phi = {number}"))
+        assert prog.elements[1].params["phi"] == float(Fraction(number))
+
+    def test_extreme_periods_stay_finite(self):
+        for period, seconds in (("1e300 s", 1e300), ("1e-300 ps", 1e-312), ("1e-300 Hz", 1e300)):
+            key = "rate" if period.endswith("Hz") else "period"
+            prog = parse(shipped_text("closed").replace("period = 1 us", f"{key} = {period}"))
+            assert float(prog.source.period) == pytest.approx(seconds)
+
+
+class TestLexer:
+    def test_non_ascii_letters_and_decimal_digits(self):
+        # letters start names, Unicode decimal digits are numbers
+        prog = parse(shipped_text("closed").replace("bs1", "bsé").replace("period = 1 us", "period = ٣ us"))
+        assert prog.elements[0].name == "bsé"
+        assert prog.source.period == Fraction(3, 10**6)
+
+    @pytest.mark.parametrize("char", ["²", "½", "Ⅷ"])  # superscript two, one half, roman eight
+    def test_non_decimal_numerals_lex_as_names(self, char):
+        tokens = _lex(f"x = {char}; y = 1{char};", [])
+        assert [t.type for t in tokens] == ["IDENT", "=", "IDENT", ";", "IDENT", "=", "NUMBER", "IDENT", ";", "EOF"]
+        text = shipped_text("closed").replace("phi = 0.0", f"phi = {char}")
+        _, diags = try_parse(text)
+        line = text[:text.index(char)].count("\n") + 1
+        assert [str(d) for d in diags] == [f"{line}:30: error [{Codes.PARAM}] expected a plain number"]  # at "phi"
+
+    def test_dot_is_punctuation(self):
+        assert [t.type for t in _lex(".5 -.5", [])] == [".", "NUMBER", "NUMBER", "EOF"]
+
+    def test_eof_column_ignores_a_trailing_comment(self):
+        for text, position in (("element # note", (1, 9)), ("ab\n\r\tcd", (2, 5)), ("", (1, 1))):
+            eof = _lex(text, [])[-1]
+            assert (eof.line, eof.col) == position
+
+
+class TestDeepGraphs:
+    def test_long_mirror_cycle_names_the_closing_edge(self):
+        n = 3000
+        text = (
+            shipped_text("open")
+            + "".join(f"element m{i} : mirror {{ }}\n" for i in range(n))
+            + "".join(f"connect m{i}.out -> m{(i + 1) % n}.in\n" for i in range(n))
+        )
+        prog, diags = try_parse(text)
+        assert prog is None
+        closing = text.splitlines().index(f"connect m{n - 1}.out -> m0.in") + 1
+        assert [(d.line, d.column, d.code) for d in diags] == [(closing, 1, Codes.CYCLE)]

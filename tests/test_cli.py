@@ -220,6 +220,9 @@ class TestSweep:
     (["validate", "--seed", "-1"], {}),
     # a 16 PB amplitude array: numpy refuses it before touching memory
     (["run", "--mode", "open", "--samples", str(10**15)], {}),
+    # beyond numpy's largest array size: rejected by the config, nothing is allocated
+    (["run", "--mode", "closed", "--samples", str(10**30)], {}),
+    (["run", "--bench", "{tmp}/samples.bench"], {}),
     (["sweep", "--preset", "phase", "--var", "phi"], {}),
     (["sweep", "--preset", "delay", "--start", "0"], {}),
     (["sweep", "--preset", "phase", "--stop", "1"], {}),
@@ -229,17 +232,36 @@ class TestSweep:
     (["sweep", "--preset", "delay", "--td-frac", "0.5"], {}),
 ], ids=["seed_env_not_integer", "out_is_directory", "out_directory_missing",
         "bench_is_directory", "bench_not_utf8", "seed_too_large", "workers_zero",
-        "validate_seed_negative", "samples_beyond_memory", "phase_preset_with_var",
+        "validate_seed_negative", "samples_beyond_memory", "samples_beyond_index_range",
+        "bench_samples_beyond_index_range", "phase_preset_with_var",
         "delay_preset_with_start", "phase_preset_with_stop", "delay_preset_with_steps",
         "phase_preset_with_phi", "phase_preset_with_td_frac", "delay_preset_with_td_frac"])
 def test_invalid_input_exits_2_without_traceback(argv, env, capsys, monkeypatch, tmp_path):
     (tmp_path / "latin1.bench").write_bytes(b"# caf\xe9\n")
+    (tmp_path / "samples.bench").write_text(
+        Path(bench_path("closed")).read_text(encoding="utf-8").replace("duty = 50%;", "duty = 50%; samples = 1e30;"),
+        encoding="utf-8")
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     code, _, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2
     assert "Traceback" not in err
     assert err.startswith("edcsim: error: ") and err.count("\n") == 1
+
+
+def test_deep_mirror_chain_matches_open_bench(capsys, tmp_path):
+    # 1,200 mirrors between the phase shifter and d1 leave the open layout unchanged
+    text = Path(bench_path("open")).read_text(encoding="utf-8")
+    mirrors = "".join(f"element m{i} : mirror {{ }}\n" for i in range(1200))
+    chain = "".join(f"connect m{i}.out -> m{i + 1}.in\n" for i in range(1199))
+    text = text.replace("connect ph.out -> d1.in\n",
+                        f"connect ph.out -> m0.in\n{chain}connect m1199.out -> d1.in\n") + mirrors
+    path = tmp_path / "deep.bench"
+    path.write_text(text, encoding="utf-8")
+    flags = ("--samples", "10", "--photons", "100")
+    code, out, err = run_cli(capsys, "run", "--bench", str(path), *flags)
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, "run", "--bench", bench_path("open"), *flags) == (0, out, "")
 
 
 def test_module_entry_point(tmp_path):
