@@ -226,6 +226,9 @@ class _Token(NamedTuple):
     col: int
 
 
+_NUMBER_PATTERN = r"(?:-[\d.]|\d)[\d.]*(?:[eE](?P<exponent>[+-]?\d+))?"
+_NUMBER_RE = re.compile(_NUMBER_PATTERN)
+
 # alternatives are tried in order: "." is punctuation, never a number start
 _TOKEN_RE = re.compile("|".join(f"(?P<{name}>{pattern})" for name, pattern in (
     ("WS", r"[ \t\r]+"),
@@ -233,7 +236,7 @@ _TOKEN_RE = re.compile("|".join(f"(?P<{name}>{pattern})" for name, pattern in (
     ("PUNCT", r"[{}:;=.%]"),
     ("NL", r"\n"),
     ("ARROW", r"->"),
-    ("NUMBER", r"(?:-[\d.]|\d)[\d.]*(?:[eE][+-]?\d+)?"),
+    ("NUMBER", _NUMBER_PATTERN),
     ("COMMENT", r"#[^\n]*"),
     ("LEX", r"."),
 )))
@@ -425,6 +428,12 @@ class _Parser:
         """Exact value of a NUMBER token, checked against the range before any big-integer work."""
         out_of_range = "number out of range: at most 400 characters and a decimal exponent from -300 to 300"
         if len(tok.text) > _MAX_NUMBER_CHARS:
+            self._abandon(tok, out_of_range, Codes.PARAM)
+        # a mantissa of at most 400 characters moves the leading digit's power of
+        # ten by less than 400, so a larger exponent is out of range; Decimal
+        # itself rejects exponents beyond its context as malformed
+        exponent = _NUMBER_RE.fullmatch(tok.text).group("exponent")
+        if exponent and abs(int(exponent)) > _MAX_EXPONENT + _MAX_NUMBER_CHARS:
             self._abandon(tok, out_of_range, Codes.PARAM)
         try:
             number = Decimal(tok.text)

@@ -265,7 +265,10 @@ class TestNumberRange:
         ("closed", "phi = 0.0", "7" * 10**6),
         ("closed", "phi = 0.0", "1e-301"),
         ("closed", "phi = 0.0", "1" * 401),
-    ], ids=["phi", "period", "sweep_stop", "huge_exponent", "million_digits", "tiny", "401_chars"])
+        ("closed", "phi = 0.0", "1e99999999999999999999"),
+        ("closed", "phi = 0.0", "-0.5e-99999999999999999999"),
+    ], ids=["phi", "period", "sweep_stop", "huge_exponent", "million_digits", "tiny", "401_chars",
+            "exponent_beyond_decimal", "negative_exponent_beyond_decimal"])
     def test_out_of_range_exits_2_with_one_diagnostic(self, name, old, number, capsys, tmp_path):
         key = old.split(" = ")[0]
         unit = " us" if key == "period" else ""

@@ -54,6 +54,22 @@ class TestSampleClicks:
         for workers in (2, 3, 8):
             assert sample_clicks(result, workers=workers).counts == ref.counts
 
+    def test_threads_only_for_large_rows(self, monkeypatch):
+        # a thread starts only with 2^19 photons of its own; counts never change
+        from edcsim import kernels, measurement
+
+        result = propagate(photons=1000)
+        ref = {n: sample_clicks(result, n_photons=n).counts for n in ((1 << 20) - 1, 3 << 19)}
+        ranges = []
+        real = kernels.sample_counts
+        monkeypatch.setattr(kernels, "sample_counts", lambda cum, lo, hi, seed: ranges.append((lo, hi)) or
+                            real(cum, lo, hi, seed))
+        monkeypatch.setattr(measurement.os, "cpu_count", lambda: 8)
+        for n, workers, parts in (((1 << 20) - 1, 8, 1), (3 << 19, 2, 2), (3 << 19, 8, 3)):
+            ranges.clear()
+            assert sample_clicks(result, n_photons=n, workers=workers).counts == ref[n]
+            assert len(ranges) == parts
+
     def test_counts_conserved(self):
         rec = sample_clicks(propagate(photons=12345))
         assert sum(rec.counts.values()) == 12345
@@ -95,6 +111,21 @@ class TestSampleClicks:
     def test_conservation_precondition(self):
         with pytest.raises(ConservationError):
             record((10, 0, 0, 0), probs=(0.5, 0.4, 0.0, 0.0))
+
+    def test_nan_norms_fail_closed(self, monkeypatch, capsys):
+        # every comparison with NaN is false, so the check must not be "> tol"
+        from edcsim import cli, experiment
+
+        result = propagate(photons=1000)
+        monkeypatch.setattr(experiment.PropagationResult, "norms_array", lambda self: np.full(4, np.nan))
+        with pytest.raises(ConservationError, match="nan"):
+            sample_clicks(result)
+        assert cli.main(["run", "--mode", "open", "--photons", "100"]) == 1
+        assert "detector norms sum to nan" in capsys.readouterr().err
+
+    def test_nan_probabilities_rejected(self):
+        with pytest.raises(ConservationError):
+            record((10, 0, 0, 0), probs=(float("nan"), 0.0, 0.0, 0.0))
 
 
 class TestEstimators:
