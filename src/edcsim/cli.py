@@ -23,31 +23,23 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import analytic
-from .benchdsl import BenchParseError, parse, to_experiment_config
-from .errors import ConfigurationError, ConservationError, DomainError, TopologyError
-from .experiment import EDC_MODES, MODES, ExperimentConfig, check_seed, run
-from .kernels import BACKEND
+from . import analytic, kernels
+from .benchdsl import BenchParseError, SweepRange, parse, to_experiment_config
+from .errors import ConfigurationError, InputError, OracleMismatchError, ScientificCheckError
+from .experiment import EDC_MODES, MODES, ExperimentConfig, _split_source, check_seed, run
 from .measurement import chi_square_check, estimators, sample_clicks
-from .wavecore import inner_product, norm, split_at_time
+from .optics import beam_split, recombine_bs2
+from .wavecore import SubWave, TimeGrid, inner_product, norm, split_at_time
 
 CSV_COLUMNS = [
     "mode", "phi", "td_frac", "p_p_analytic", "p1_analytic", "p2_analytic",
     "n1", "n2", "n3", "n4", "n_photons",
     "r_w_pair", "r_w_total", "r_p", "p_w_hat", "p_p_hat", "seed",
 ]
-
-_PRESET_PHASE_PP = (0.0, 0.25, 0.5, 0.75, 1.0)
-_PRESET_PHASE_STEPS = 100
-_PRESET_DELAY_STEPS = 21
-
-
-class OracleMismatchError(RuntimeError):
-    """Propagated detector norms disagree with the closed forms."""
 
 
 def _sweep_values(start: float, stop: float, steps: int) -> list[float]:
@@ -65,7 +57,7 @@ def simulate_row(cfg: ExperimentConfig, workers: int = 1) -> dict:
     expected = analytic.detector_probs(cfg.mode, cfg.phi, cfg.p_p, cfg.insert_bs2)
     norms = result.norms_array()
     mismatch = float(np.max(np.abs(norms - expected)))
-    if mismatch > 1e-9:
+    if not mismatch <= 1e-9:  # NaN fails too
         raise OracleMismatchError(
             f"propagated norms {norms.tolist()} disagree with closed forms "
             f"{expected.tolist()} by {mismatch:.3e}"
@@ -110,6 +102,13 @@ def rows_to_csv(rows: list[dict]) -> str:
 
 def rows_to_json(rows: list[dict]) -> str:
     return json.dumps({"columns": CSV_COLUMNS, "rows": rows}, indent=2) + "\n"
+
+
+def _emit_rows(args, configs: list[ExperimentConfig]) -> int:
+    """Simulate every row, then write them all as one CSV or JSON document."""
+    rows = [simulate_row(cfg, workers=args.workers) for cfg in configs]
+    _emit(rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows), args.out)
+    return 0
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -157,15 +156,8 @@ def _config_from_args(args, mode=None, phi=None, td_frac=None, seed=None) -> Exp
             raise ConfigurationError("--period comes from the bench file; drop the flag")
         if args.choice is not None:
             raise ConfigurationError("--choice comes from the bench file; drop the flag")
-        prog = args._bench_program
-        return to_experiment_config(
-            prog,
-            phi=phi,
-            td_frac=td,
-            n_photons=args.photons,
-            seed=seed,
-            samples_per_period=args.samples,
-        )
+        return to_experiment_config(args._bench_program, phi=phi, td_frac=td, n_photons=args.photons,
+                                    seed=seed, samples_per_period=args.samples)
     mode = args.mode if mode is None else mode
     if mode is None:
         raise ConfigurationError("either --mode or --bench is required")
@@ -176,16 +168,9 @@ def _config_from_args(args, mode=None, phi=None, td_frac=None, seed=None) -> Exp
         insert = args.choice == "insert"
     elif args.choice is not None:
         raise ConfigurationError("--choice only applies to wheeler_delayed")
-    return ExperimentConfig(
-        mode=mode,
-        phi=phi if phi is not None else 0.0,
-        td_frac=td if td is not None else 0.0,
-        period=args.period if args.period is not None else 1e-6,
-        samples_per_period=args.samples if args.samples is not None else 1000,
-        n_photons=args.photons,
-        seed=seed,
-        insert_bs2=insert,
-    )
+    given = {"phi": phi, "td_frac": td, "period": args.period, "samples_per_period": args.samples}
+    return ExperimentConfig(mode=mode, n_photons=args.photons, seed=seed, insert_bs2=insert,
+                            **{k: v for k, v in given.items() if v is not None})  # else the defaults
 
 
 # ---------------------------------------------------------------------------
@@ -193,74 +178,59 @@ def _config_from_args(args, mode=None, phi=None, td_frac=None, seed=None) -> Exp
 # ---------------------------------------------------------------------------
 
 def cmd_run(args) -> int:
-    cfg = _config_from_args(args)
-    rows = [simulate_row(cfg, workers=args.workers)]
-    text = rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows)
-    _emit(text, args.out)
-    return 0
+    return _emit_rows(args, [_config_from_args(args)])
 
 
-def _sweep_points(args) -> list[tuple[ExperimentConfig, int]]:
-    """Expand preset/custom/bench sweeps into configs with per-row seed offsets."""
+def _sweep_points(args) -> list[ExperimentConfig]:
+    """Every row's config, built once with its seed ``(base + i) mod 2**64``, from (mode, fixed, range) sources."""
     base_seed = _seed(args)
-    points: list[ExperimentConfig] = []
-
     if args.preset is not None:
-        fixed = {"--mode": args.mode, "--bench": args.bench, "--var": args.var, "--start": args.start,
+        flags = {"--mode": args.mode, "--bench": args.bench, "--var": args.var, "--start": args.start,
                  "--stop": args.stop, "--steps": args.steps, "--td-frac": args.td_frac}
         if args.preset == "phase":
-            fixed["--phi"] = args.phi
-        given = [flag for flag, value in fixed.items() if value is not None]
+            flags["--phi"] = args.phi
+        given = [flag for flag, value in flags.items() if value is not None]
         if given:
             raise ConfigurationError(f"--preset {args.preset} takes no {', '.join(given)}")
 
     if args.preset == "phase":
-        phis = _sweep_values(0.0, 2.0 * np.pi, _PRESET_PHASE_STEPS)
-        for p_p in _PRESET_PHASE_PP:
-            for phi in phis:
-                points.append(_config_from_args(args, "edc_conceptual", phi=float(phi), td_frac=p_p,
-                                                seed=base_seed))
+        sources = [("edc_conceptual", {"td_frac": p_p}, SweepRange("phi", 0.0, 2.0 * np.pi, 100))
+                   for p_p in (0.0, 0.25, 0.5, 0.75, 1.0)]
     elif args.preset == "delay":
-        for td in _sweep_values(0.0, 1.0, _PRESET_DELAY_STEPS):
-            points.append(_config_from_args(args, "edc_bench", td_frac=float(td), seed=base_seed))
+        sources = [("edc_bench", {}, SweepRange("td_frac", 0.0, 1.0, 21))]
     elif args.var is not None:
         if args.start is None or args.stop is None or args.steps is None:
             raise ConfigurationError("--var needs --start, --stop and --steps")
         if args.steps < 2 or not args.start < args.stop:
             raise ConfigurationError("sweep needs steps >= 2 and start < stop")
-        values = _sweep_values(args.start, args.stop, args.steps)
-        for v in values:
-            phi = float(v) if args.var == "phi" else args.phi
-            td = float(v) if args.var == "td_frac" else args.td_frac
-            points.append(_config_from_args(args, phi=phi, td_frac=td, seed=base_seed))
+        sources = [(None, {}, SweepRange(args.var, args.start, args.stop, args.steps))]
     elif args.bench:
-        prog = args._bench_program
-        if not prog.sweeps:
+        if not args._bench_program.sweeps:
             raise ConfigurationError("bench file declares no sweeps; pass --var or --preset")
-        for sw in prog.sweeps:
-            for v in _sweep_values(sw.start, sw.stop, sw.steps):
-                phi = float(v) if sw.variable == "phi" else args.phi
-                td = float(v) if sw.variable == "td_frac" else args.td_frac
-                points.append(_config_from_args(args, phi=phi, td_frac=td, seed=base_seed))
+        sources = [(None, {}, sw) for sw in args._bench_program.sweeps]
     else:
         raise ConfigurationError("sweep needs --preset, --var or a bench file with sweeps")
 
-    return [(cfg, (base_seed + i) % 2**64) for i, cfg in enumerate(points)]
+    configs: list[ExperimentConfig] = []
+    for mode, fixed, sweep in sources:
+        for v in _sweep_values(sweep.start, sweep.stop, sweep.steps):
+            seed = (base_seed + len(configs)) % 2**64
+            configs.append(_config_from_args(args, mode, seed=seed, **{**fixed, sweep.variable: float(v)}))
+    return configs
 
 
 def cmd_sweep(args) -> int:
-    rows = []
-    for cfg, row_seed in _sweep_points(args):
-        cfg = replace(cfg, seed=row_seed)
-        rows.append(simulate_row(cfg, workers=args.workers))
-    text = rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows)
-    _emit(text, args.out)
-    return 0
+    return _emit_rows(args, _sweep_points(args))
 
 
 # ---------------------------------------------------------------------------
 # Validation suite
 # ---------------------------------------------------------------------------
+
+def _worst(worst: float, dev: float) -> float:
+    """Running maximum that keeps a NaN, which ``max`` drops because NaN compares false."""
+    return float(np.maximum(worst, dev))
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -291,9 +261,9 @@ def run_validation_suite(seed: int = 42, n_photons: int = 100_000) -> list[Check
     for _ in range(60):
         cfg = _random_config(rng, photons=1)
         norms = run(cfg).norms_array()
-        worst_total = max(worst_total, abs(float(norms.sum()) - 1.0))
+        worst_total = _worst(worst_total, abs(float(norms.sum()) - 1.0))
         expected = analytic.detector_probs(cfg.mode, cfg.phi, cfg.p_p, cfg.insert_bs2)
-        worst_oracle = max(worst_oracle, float(np.max(np.abs(norms - expected))))
+        worst_oracle = _worst(worst_oracle, float(np.max(np.abs(norms - expected))))
     checks.append(CheckResult("oracle_agreement", worst_oracle <= 1e-12,
                               f"max |propagated - closed form| = {worst_oracle:.3e}"))
     checks.append(CheckResult("conservation", worst_total <= 1e-12,
@@ -302,23 +272,20 @@ def run_validation_suite(seed: int = 42, n_photons: int = 100_000) -> list[Check
     # mid-pulse split: per-arm front/back norms complement to 1/2, supports disjoint
     worst_half = 0.0
     worst_ortho = 0.0
-    from .experiment import _split_source  # arm construction shared with run
     for _ in range(50):
         td_samples = int(rng.integers(0, 501))
         cfg = ExperimentConfig(mode="edc_conceptual", phi=float(rng.uniform(0, 2 * np.pi)),
                                td_frac=td_samples / 500, n_photons=1, seed=0)
         for arm in _split_source(cfg):
             front, back = split_at_time(arm, cfg.td_samples * cfg.dt)
-            worst_half = max(worst_half, abs(norm(front) + norm(back) - 0.5))
-            worst_ortho = max(worst_ortho, abs(inner_product(front, back)))
+            worst_half = _worst(worst_half, abs(norm(front) + norm(back) - 0.5))
+            worst_ortho = _worst(worst_ortho, abs(inner_product(front, back)))
     checks.append(CheckResult("split_complement", worst_half <= 1e-12,
                               f"max |P_p + P_w - 1/2| = {worst_half:.3e}"))
     checks.append(CheckResult("split_orthogonality", worst_ortho == 0.0,
                               f"max |<front|back>| = {worst_ortho:.3e}"))
 
     # unitarity of the two splitter transforms on random inputs
-    from .optics import beam_split, recombine_bs2
-    from .wavecore import SubWave, TimeGrid
     grid = TimeGrid(256, 1e-9)
     worst_unitary = 0.0
     for _ in range(200):
@@ -326,16 +293,23 @@ def run_validation_suite(seed: int = 42, n_photons: int = 100_000) -> list[Check
         b = SubWave(grid, rng.normal(size=256) + 1j * rng.normal(size=256))
         total_in = norm(a) + norm(b)
         for o1, o2 in (beam_split(a, b), recombine_bs2(a, b, float(rng.uniform(0, 2 * np.pi)))):
-            worst_unitary = max(worst_unitary, abs((norm(o1) + norm(o2)) / total_in - 1.0))
+            worst_unitary = _worst(worst_unitary, abs((norm(o1) + norm(o2)) / total_in - 1.0))
     checks.append(CheckResult("unitarity", worst_unitary <= 1e-12,
                               f"max relative norm change = {worst_unitary:.3e}"))
 
-    # sampling determinism, including across worker partitionings
+    # sampling determinism: the counts are the sum over any split of the photon range
     cfg = ExperimentConfig(mode="edc_bench", phi=1.234, td_frac=0.3, n_photons=n_photons, seed=seed)
     result = run(cfg)
     ref = sample_clicks(result)
-    same = all(sample_clicks(result, workers=w).counts == ref.counts for w in (1, 2, 7))
-    checks.append(CheckResult("determinism", same, f"counts {dict(ref.counts)} stable across reruns/workers"))
+    cum = np.cumsum(ref.probs)
+    cum[-1] = 1.0
+
+    def split_counts(parts: int) -> np.ndarray:
+        edges = [n_photons * k // parts for k in range(parts + 1)]
+        return sum(kernels.sample_counts(cum, lo, hi, seed) for lo, hi in zip(edges, edges[1:]))
+
+    same = all(np.array_equal(split_counts(parts), ref.counts_array()) for parts in (1, 2, 7))
+    checks.append(CheckResult("determinism", same, f"counts {dict(ref.counts)} equal over 1, 2 and 7 photon ranges"))
 
     # chi-square self-consistency of the sampler against its own probabilities
     fails = 0
@@ -363,12 +337,12 @@ def cmd_validate(args) -> int:
     if args.format == "json":
         payload = {
             "passed": all_passed,
-            "backend": BACKEND,
+            "backend": kernels.BACKEND,
             "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks],
         }
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
-        lines = [f"kernel backend: {BACKEND}"]
+        lines = [f"kernel backend: {kernels.BACKEND}"]
         for c in checks:
             lines.append(f"{'PASS' if c.passed else 'FAIL'}  {c.name}: {c.detail}")
         lines.append("all checks passed" if all_passed else "VALIDATION FAILED")
@@ -441,13 +415,10 @@ def main(argv=None) -> int:
         for diag in exc.diagnostics:
             print(f"{name}:{diag}", file=sys.stderr)
         return 2
-    except (ConfigurationError, TopologyError, DomainError) as exc:
+    except (InputError, OSError, MemoryError) as exc:
         print(f"edcsim: error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, MemoryError) as exc:
-        print(f"edcsim: error: {exc}", file=sys.stderr)
-        return 2
-    except (ConservationError, OracleMismatchError) as exc:
+    except ScientificCheckError as exc:
         print(f"edcsim: scientific check failed: {exc}", file=sys.stderr)
         return 1
 

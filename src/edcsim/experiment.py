@@ -33,7 +33,7 @@ in :mod:`edcsim.analytic` are never evaluated here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -49,6 +49,8 @@ DETECTOR_IDS = ("D1", "D2", "D3", "D4")
 _SEED_MAX = 2**64
 # the longest complex128 amplitude array whose size in bytes numpy can represent
 _DIM_MAX = np.iinfo(np.intp).max // np.dtype(np.complex128).itemsize
+# the smallest normal double: a coarser dt keeps 1/dt, the pulse's sum of |a|^2, finite
+_DT_MIN = float(np.finfo(np.float64).tiny)
 
 
 def check_seed(seed) -> None:
@@ -93,6 +95,8 @@ class ExperimentConfig:
                 f"samples_per_period must be an integer from 2 to {_DIM_MAX}, got {self.samples_per_period!r}")
         if self.samples_per_period % 2 != 0:
             raise ConfigurationError("samples_per_period must be even so the half-period pulse is sample-aligned")
+        if not self.dt >= _DT_MIN:
+            raise ConfigurationError(f"period / samples_per_period must be at least {_DT_MIN!r} s, got {self.dt!r}")
         if not isinstance(self.n_photons, (int, np.integer)) or self.n_photons < 1:
             raise ConfigurationError(f"n_photons must be a positive integer, got {self.n_photons!r}")
         check_seed(self.seed)
@@ -148,25 +152,28 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class PropagationResult:
-    """Per-detector sub-waves after propagation; total norm is 1."""
+    """Per-detector sub-waves after propagation; their norms, summed once here, total 1."""
 
     mode: str
     detector_waves: Mapping[str, SubWave]
     config: ExperimentConfig
+    _norms: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         missing = [d for d in DETECTOR_IDS if d not in self.detector_waves]
         if missing:
             raise ConfigurationError(f"missing detector waves: {missing}")
-        total = sum(self.detector_norms().values())
-        if abs(total - 1.0) > 1e-12:
+        norms = tuple(norm(self.detector_waves[d]) for d in DETECTOR_IDS)
+        object.__setattr__(self, "_norms", norms)
+        total = sum(norms)
+        if not abs(total - 1.0) <= 1e-12:  # NaN fails too
             raise ConservationError(f"detector norms sum to {total!r}, expected 1")
 
     def detector_norms(self) -> dict[str, float]:
-        return {d: norm(self.detector_waves[d]) for d in DETECTOR_IDS}
+        return dict(zip(DETECTOR_IDS, self._norms))
 
     def norms_array(self) -> np.ndarray:
-        return np.array([norm(self.detector_waves[d]) for d in DETECTOR_IDS])
+        return np.array(self._norms)
 
 
 def _split_source(cfg: ExperimentConfig) -> tuple[SubWave, SubWave]:

@@ -16,7 +16,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .errors import ConfigurationError
-from .wavecore import SubWave, _require_same_grid
+from .wavecore import SubWave, _adopt, _require_same_grid
 
 _SQRT_HALF = np.sqrt(0.5)
 
@@ -53,8 +53,8 @@ class ElementSpec:
 def beam_split(in1: SubWave, in2: SubWave) -> tuple[SubWave, SubWave]:
     """50/50 input splitter: ``out1 = (in1 + in2)/sqrt(2)``, ``out2 = (in1 - in2)/sqrt(2)``."""
     _require_same_grid(in1, in2)
-    out1 = SubWave(in1.grid, (in1.amps + in2.amps) * _SQRT_HALF)
-    out2 = SubWave(in1.grid, (in1.amps - in2.amps) * _SQRT_HALF)
+    out1 = _adopt(in1.grid, (in1.amps + in2.amps) * _SQRT_HALF)
+    out2 = _adopt(in1.grid, (in1.amps - in2.amps) * _SQRT_HALF)
     return out1, out2
 
 
@@ -68,11 +68,11 @@ def recombine_bs2(in1: SubWave, in2: SubWave, phi: float) -> tuple[SubWave, SubW
     _require_same_grid(in1, in2)
     ph = np.exp(1j * phi)
     a = ph * in1.amps
-    out1 = SubWave(in1.grid, (a - in2.amps) * _SQRT_HALF)
-    out2 = SubWave(in1.grid, (a + in2.amps) * _SQRT_HALF)
+    out1 = _adopt(in1.grid, (a - in2.amps) * _SQRT_HALF)
+    out2 = _adopt(in1.grid, (a + in2.amps) * _SQRT_HALF)
     return out1, out2
 
 
 def apply_phase(w: SubWave, phi: float) -> SubWave:
     """Multiply every sample by ``e^{i phi}``; the norm is unchanged."""
-    return SubWave(w.grid, np.exp(1j * phi) * w.amps)
+    return _adopt(w.grid, np.exp(1j * phi) * w.amps)

@@ -77,9 +77,18 @@ class SubWave:
         return f"SubWave(n={self.grid.n_samples}, norm={norm(self):.6g})"
 
 
+def _adopt(grid: TimeGrid, amps: np.ndarray) -> SubWave:
+    """Adopt a fresh complex128 array, uncopied and unchecked: transforms of finite waves stay finite."""
+    amps.setflags(write=False)
+    w = object.__new__(SubWave)
+    object.__setattr__(w, "grid", grid)
+    object.__setattr__(w, "amps", amps)
+    return w
+
+
 def zero_wave(grid: TimeGrid) -> SubWave:
     """All-zero sub-wave (vacuum port)."""
-    return SubWave(grid, np.zeros(grid.n_samples, dtype=np.complex128))
+    return _adopt(grid, np.zeros(grid.n_samples, dtype=np.complex128))
 
 
 def make_rect_pulse(grid: TimeGrid, duration: float) -> SubWave:
@@ -118,17 +127,17 @@ def split_at_time(w: SubWave, t_cut: float) -> tuple[SubWave, SubWave]:
     sum to ``w`` samplewise.
     """
     k = w.grid.index_at(t_cut)
-    front = np.array(w.amps)
+    front = w.amps.copy()
     front[k:] = 0
-    back = np.array(w.amps)
+    back = w.amps.copy()
     back[:k] = 0
-    return SubWave(w.grid, front), SubWave(w.grid, back)
+    return _adopt(w.grid, front), _adopt(w.grid, back)
 
 
 def superpose(a: SubWave, b: SubWave) -> SubWave:
     """Samplewise sum of two sub-waves on the same grid."""
     _require_same_grid(a, b)
-    return SubWave(a.grid, a.amps + b.amps)
+    return _adopt(a.grid, a.amps + b.amps)
 
 
 def _require_same_grid(a: SubWave, b: SubWave) -> None:

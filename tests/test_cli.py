@@ -230,12 +230,15 @@ class TestSweep:
     (["sweep", "--preset", "phase", "--phi", "1"], {}),
     (["sweep", "--preset", "phase", "--td-frac", "0.5"], {}),
     (["sweep", "--preset", "delay", "--td-frac", "0.5"], {}),
+    # dt = 1e-309 lies below the normal doubles: 1/dt, the pulse's sum of |a|^2, overflows
+    (["run", "--mode", "closed", "--period", "1e-305", "--samples", "10000"], {}),
 ], ids=["seed_env_not_integer", "out_is_directory", "out_directory_missing",
         "bench_is_directory", "bench_not_utf8", "seed_too_large", "workers_zero",
         "validate_seed_negative", "samples_beyond_memory", "samples_beyond_index_range",
         "bench_samples_beyond_index_range", "phase_preset_with_var",
         "delay_preset_with_start", "phase_preset_with_stop", "delay_preset_with_steps",
-        "phase_preset_with_phi", "phase_preset_with_td_frac", "delay_preset_with_td_frac"])
+        "phase_preset_with_phi", "phase_preset_with_td_frac", "delay_preset_with_td_frac",
+        "dt_below_normal_range"])
 def test_invalid_input_exits_2_without_traceback(argv, env, capsys, monkeypatch, tmp_path):
     (tmp_path / "latin1.bench").write_bytes(b"# caf\xe9\n")
     (tmp_path / "samples.bench").write_text(
@@ -304,6 +307,35 @@ class TestValidate:
         assert code == 1
         assert "disagree" in err
 
+    def test_injected_nan_norm_fails_oracle_agreement(self, capsys, monkeypatch):
+        # a running max(worst, nan) keeps worst, so one NaN case could pass unseen
+        from edcsim import experiment
+
+        real = experiment.PropagationResult.norms_array
+        calls = []
+
+        def first_nan(result):
+            calls.append(result)
+            return np.full(4, np.nan) if len(calls) == 1 else real(result)
+
+        monkeypatch.setattr(experiment.PropagationResult, "norms_array", first_nan)
+        code, out, _ = run_cli(capsys, "validate", "--photons", "2000")
+        assert code == 1
+        assert "FAIL  oracle_agreement: max |propagated - closed form| = nan" in out
+        assert "VALIDATION FAILED" in out
+
+    def test_determinism_splits_the_photon_range(self, monkeypatch):
+        # a kernel whose draws depend on where a range starts: every call from
+        # sample_clicks starts at 0, so only explicit splits can expose it
+        from edcsim import kernels
+
+        real = kernels.sample_counts
+        monkeypatch.setattr(kernels, "sample_counts",
+                            lambda cum, start, stop, seed: real(cum, start, stop, seed + (start > 0)))
+        checks = {c.name: c for c in run_validation_suite(seed=3, n_photons=5000)}
+        assert checks["determinism"].passed is False
+        assert checks["oracle_agreement"].passed is True
+
     def test_json_report(self, capsys):
         code, out, _ = run_cli(capsys, "validate", "--photons", "20000", "--format", "json")
         assert code == 0
@@ -317,3 +349,110 @@ class TestValidate:
         checks_b = run_validation_suite(seed=2, n_photons=20000)
         assert all(c.passed for c in checks_a)
         assert all(c.passed for c in checks_b)
+
+
+def test_error_bases_map_to_exit_codes():
+    from edcsim import cli, errors
+
+    for cls in (errors.ConfigurationError, errors.DomainError, errors.TopologyError):
+        assert issubclass(cls, errors.InputError) and issubclass(cls, ValueError)
+    assert issubclass(errors.ConservationError, errors.ScientificCheckError)
+    assert issubclass(errors.ConservationError, ValueError)
+    assert cli.OracleMismatchError is errors.OracleMismatchError
+    assert issubclass(errors.OracleMismatchError, errors.ScientificCheckError)
+    assert issubclass(errors.OracleMismatchError, RuntimeError)
+
+
+def _sweep_then_runs(capsys, sweep_argv, run_flags_of, base_seed, workers, rows=None):
+    """Each sweep row against ``run`` of its config at seed ``(base + i) mod 2**64``."""
+    w = ["--workers", str(workers)]
+    code, out, err = run_cli(capsys, "sweep", *sweep_argv, "--seed", str(base_seed), *w)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    header, body = lines[0], lines[1:]
+    picked = range(len(body)) if rows is None else rows
+    for i in picked:
+        row = dict(zip(CSV_COLUMNS, body[i].split(",")))
+        seed = (base_seed + i) % 2**64
+        assert row["seed"] == str(seed)
+        code, one, err = run_cli(capsys, "run", *run_flags_of(row), "--phi", row["phi"],
+                                 "--td-frac", row["td_frac"], "--seed", str(seed), *w)
+        assert (code, err) == (0, "")
+        assert one.splitlines() == [header, body[i]]
+    return len(body)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_every_sweep_row_equals_run(capsys, workers):
+    flags = ["--photons", "700", "--samples", "40"]
+
+    def by_mode(row):
+        return ["--mode", row["mode"], *flags]
+
+    # the 21-row delay preset wraps the 64-bit seed space after row 15
+    assert _sweep_then_runs(capsys, ["--preset", "delay", "--phi", "0.9", *flags],
+                            by_mode, 2**64 - 16, workers) == 21
+    # rows at both ends of the five phase sources
+    assert _sweep_then_runs(capsys, ["--preset", "phase", *flags], by_mode, 99, workers,
+                            rows=[0, 1, 99, 100, 250, 399, 400, 499]) == 500
+    assert _sweep_then_runs(capsys, ["--var", "td_frac", "--start", "0.1", "--stop", "0.9", "--steps", "5",
+                                     "--mode", "edc_conceptual", "--phi", "2.0", *flags],
+                            by_mode, 7, workers) == 5
+    bench = ["--bench", bench_path("edc_conceptual"), *flags]
+    assert _sweep_then_runs(capsys, bench, lambda row: bench, 2**63, workers) == 25
+
+
+def test_threaded_sweep_rows_equal_run(capsys):
+    # 2**20 + 1 photons split into two ranges: two sampling threads on a host with 2 or more CPUs
+    flags = ["--photons", str(2**20 + 1)]
+    assert _sweep_then_runs(capsys, ["--var", "phi", "--start", "0", "--stop", "3", "--steps", "3",
+                                     "--mode", "edc_bench", "--td-frac", "0.3", *flags],
+                            lambda row: ["--mode", row["mode"], *flags], 42, 2) == 3
+
+
+class TestRowPathWork:
+    """Each row builds, checks and sums each thing once."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        from edcsim import cli, experiment, wavecore
+        from edcsim.experiment import ExperimentConfig
+        from edcsim.wavecore import SubWave
+
+        tally = {"norm": 0, "config": 0, "subwave": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                tally[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        norm = counted("norm", wavecore.norm)
+        for module in (wavecore, experiment, cli):
+            monkeypatch.setattr(module, "norm", norm)
+        monkeypatch.setattr(ExperimentConfig, "__post_init__",
+                            counted("config", ExperimentConfig.__post_init__))
+        monkeypatch.setattr(SubWave, "__post_init__", counted("subwave", SubWave.__post_init__))
+        return tally
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_simulate_row(self, counts, mode):
+        from edcsim.cli import simulate_row
+        from edcsim.experiment import EDC_MODES, ExperimentConfig
+
+        cfg = ExperimentConfig(mode=mode, phi=0.4, td_frac=0.3 if mode in EDC_MODES else 0.0,
+                               n_photons=1000, insert_bs2=True if mode == "wheeler_delayed" else None)
+        counts.update(norm=0, config=0, subwave=0)
+        simulate_row(cfg)
+        # four detector norms, and only the source pulse goes through the validating constructor
+        assert counts == {"norm": 4, "config": 0, "subwave": 1}
+
+    @pytest.mark.parametrize("argv, rows", [
+        (["--preset", "delay"], 21),
+        (["--var", "phi", "--start", "0", "--stop", "1", "--steps", "4", "--mode", "closed"], 4),
+        (["--bench", bench_path("edc_conceptual")], 25),
+    ])
+    def test_sweep_builds_each_config_once(self, counts, capsys, argv, rows):
+        code, out, _ = run_cli(capsys, "sweep", *argv, "--photons", "10")
+        assert code == 0 and len(csv_rows(out)) == rows
+        assert counts == {"norm": 4 * rows, "config": rows, "subwave": rows}

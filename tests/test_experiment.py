@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from edcsim.errors import ConfigurationError
+from edcsim.errors import ConfigurationError, ConservationError
 from edcsim.experiment import ExperimentConfig, _split_source, run
 from edcsim.wavecore import inner_product, norm, split_at_time
 
@@ -188,3 +188,11 @@ class TestInvariants:
             result = run(cfg)
             norms = result.detector_norms()
             assert abs((norms["D3"] + norms["D4"]) - k / 500) < TOL
+
+    def test_nan_norm_fails_conservation(self, monkeypatch):
+        # every comparison with NaN is false, so the check must not be "> tol"
+        from edcsim import experiment
+
+        monkeypatch.setattr(experiment, "norm", lambda w: float("nan"))
+        with pytest.raises(ConservationError, match="nan"):
+            run(cfg_for("open"))
