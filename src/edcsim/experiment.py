@@ -147,7 +147,7 @@ class ExperimentConfig:
         return self.passed_samples / self.pulse_samples
 
     def grid(self) -> TimeGrid:
-        return TimeGrid(self.samples_per_period, self.dt)
+        return TimeGrid(self.pulse_samples, self.dt)  # the pulse only: the rest of the period is zero in every wave
 
 
 @dataclass(frozen=True)
@@ -178,8 +178,7 @@ class PropagationResult:
 
 def _split_source(cfg: ExperimentConfig) -> tuple[SubWave, SubWave]:
     grid = cfg.grid()
-    photon = make_rect_pulse(grid, cfg.pulse_duration)
-    return beam_split(photon, zero_wave(grid))
+    return beam_split(make_rect_pulse(grid, cfg.pulse_duration), zero_wave(grid))
 
 
 def run(cfg: ExperimentConfig) -> PropagationResult:

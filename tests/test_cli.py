@@ -104,6 +104,37 @@ class TestRun:
         assert code == 0
         assert out == (GOLDEN / "run_conceptual.csv").read_text()
 
+    def test_million_samples_conserve_norm(self, capsys):
+        # a sequential BLAS dot product summed these norms to 0.999999999998781, failing the 1e-12 check
+        code, out, err = run_cli(capsys, "run", "--mode", "closed", "--period", "1.234e-5",
+                                 "--samples", "1000000", "--photons", "100")
+        assert (code, err) == (0, "")
+        assert csv_rows(out)[0]["n2"] == "100"
+
+    # --samples 2 propagates on a one-sample grid; these rows were recorded on the two-sample period grid
+    @pytest.mark.parametrize("args, row", [
+        ("--mode open --phi 0.4",
+         "open,0.4,0.0,1.0,0.5,0.5,5049,4951,0,0,10000,0.5049,0.5049,,1.0,0.0,7"),
+        ("--mode closed --phi 1.3",
+         "closed,1.3,0.0,0.0,0.3662505856877063,0.6337494143122937,3636,6364,0,0,10000,0.3636,0.3636,,1.0,0.0,7"),
+        ("--mode wheeler_delayed --choice omit --phi 2.2",
+         "wheeler_delayed,2.2,0.0,1.0,0.5,0.5,5049,4951,0,0,10000,0.5049,0.5049,,1.0,0.0,7"),
+        ("--mode wheeler_delayed --choice insert --phi 2.2",
+         "wheeler_delayed,2.2,0.0,0.0,0.7942505586276729,0.2057494413723271,"
+         "8001,1999,0,0,10000,0.8001,0.8001,,1.0,0.0,7"),
+        ("--mode edc_conceptual --phi 0.9 --td-frac 0.3",
+         "edc_conceptual,0.9,0.3,0.0,0.1891950158646678,0.8108049841353322,"
+         "1852,8148,0,0,10000,0.1852,0.1852,,1.0,0.0,7"),
+        ("--mode edc_bench --phi 0.7 --td-frac 0",
+         "edc_bench,0.7,0.0,0.0,0.11757890635775578,0.8824210936422442,1146,8854,0,0,10000,0.1146,0.1146,,1.0,0.0,7"),
+        ("--mode edc_bench --phi 0.7 --td-frac 1",
+         "edc_bench,0.7,1.0,1.0,0.0,0.0,0,0,5049,4951,10000,,0.0,0.5049,0.0,1.0,7"),
+    ], ids=["open", "closed", "wheeler_omit", "wheeler_insert", "edc_conceptual", "edc_bench_td0", "edc_bench_td1"])
+    def test_two_samples_per_period(self, capsys, args, row):
+        code, out, err = run_cli(capsys, "run", *args.split(), "--samples", "2", "--photons", "10000", "--seed", "7")
+        assert (code, err) == (0, "")
+        assert out == ",".join(CSV_COLUMNS) + "\n" + row + "\n"
+
 
 # file under tests/data/golden -> argv; "{benches}" is the shipped bench directory
 GOLDEN_CASES = {

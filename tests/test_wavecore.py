@@ -31,7 +31,7 @@ def random_wave(grid, rng):
 class TestTimeGrid:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            TimeGrid(1, 1e-9)
+            TimeGrid(0, 1e-9)
         with pytest.raises(ConfigurationError):
             TimeGrid(100, 0.0)
         with pytest.raises(ConfigurationError):
