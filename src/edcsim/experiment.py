@@ -39,8 +39,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigurationError, ConservationError
-from .optics import apply_phase, beam_split, recombine_bs2
-from .wavecore import SubWave, TimeGrid, make_rect_pulse, norm, split_at_time, superpose, zero_wave
+from .optics import _phase_into, _recombine_into, _split_into
+from .wavecore import SubWave, TimeGrid, _adopt, _cut_into, _rect_amps, norm, zero_wave
 
 MODES = ("open", "closed", "wheeler_delayed", "edc_conceptual", "edc_bench")
 EDC_MODES = ("edc_conceptual", "edc_bench")
@@ -115,10 +115,6 @@ class ExperimentConfig:
         return self.samples_per_period // 2
 
     @property
-    def pulse_duration(self) -> float:
-        return self.pulse_samples * self.dt
-
-    @property
     def td_samples(self) -> int:
         return int(round(self.td_frac * self.pulse_samples))
 
@@ -152,7 +148,7 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class PropagationResult:
-    """Per-detector sub-waves after propagation; their norms, summed once here, total 1."""
+    """Per-detector sub-waves after propagation; the norms, summed here once per distinct wave, total 1."""
 
     mode: str
     detector_waves: Mapping[str, SubWave]
@@ -163,7 +159,10 @@ class PropagationResult:
         missing = [d for d in DETECTOR_IDS if d not in self.detector_waves]
         if missing:
             raise ConfigurationError(f"missing detector waves: {missing}")
-        norms = tuple(norm(self.detector_waves[d]) for d in DETECTOR_IDS)
+        waves = [self.detector_waves[d] for d in DETECTOR_IDS]
+        scratch = np.empty(2 * max(w.grid.n_samples for w in waves))  # the squares of each norm in turn
+        summed = {w: norm(w, scratch) for w in dict.fromkeys(waves)}  # SubWave hashes by identity
+        norms = tuple(summed[w] for w in waves)
         object.__setattr__(self, "_norms", norms)
         total = sum(norms)
         if not abs(total - 1.0) <= 1e-12:  # NaN fails too
@@ -176,28 +175,32 @@ class PropagationResult:
         return np.array(self._norms)
 
 
-def _split_source(cfg: ExperimentConfig) -> tuple[SubWave, SubWave]:
-    grid = cfg.grid()
-    return beam_split(make_rect_pulse(grid, cfg.pulse_duration), zero_wave(grid))
+def _arm(cfg: ExperimentConfig) -> np.ndarray:
+    """Either arm's wave as a fresh writable array: the pulse through the input splitter, its other port vacuum."""
+    arm = _rect_amps(cfg.grid(), cfg.pulse_samples)
+    _split_into(arm, None, arm)
+    return arm
 
 
 def run(cfg: ExperimentConfig) -> PropagationResult:
     """Propagate the photon through the EDC cut of the mode selected in ``cfg``.
 
-    Each arm is split at ``passed_samples * dt``.  The backs are recombined
-    onto D1/D2 with the arm-1 phase.  On the bench the fronts go unphased
-    to D3/D4; in every other mode they reach D1/D2 unrecombined (arm 1
-    still picks up the arm phase) and add samplewise to the backs.
+    Both arms carry the same wave; each is cut ``passed_samples`` samples
+    in.  The backs are recombined onto D1/D2 with the arm-1 phase.  On the
+    bench the fronts go unphased to D3/D4, which share one wave; in every
+    other mode they reach D1/D2 unrecombined (arm 1 still picks up the arm
+    phase) ahead of the backs.  Every detector wave is written in place.
     """
-    arm1, arm2 = _split_source(cfg)
-    t_cut = cfg.passed_samples * cfg.dt
-    front1, back1 = split_at_time(arm1, t_cut)
-    front2, back2 = split_at_time(arm2, t_cut)
-    d1, d2 = recombine_bs2(back1, back2, cfg.phi)
+    grid, k = cfg.grid(), cfg.passed_samples
+    arm = _arm(cfg)
+    d1, d2 = np.empty_like(arm), np.empty_like(arm)
+    _recombine_into(arm[k:], arm[k:], cfg.phi, d1[k:], d2[k:])
     if cfg.mode == "edc_bench":
-        waves = {"D1": d1, "D2": d2, "D3": front1, "D4": front2}
+        d1[:k] = d2[:k] = 0
+        _cut_into(k, front=arm)
+        waves = dict.fromkeys(("D3", "D4"), _adopt(grid, arm))
     else:
-        vacuum = zero_wave(cfg.grid())
-        waves = {"D1": superpose(apply_phase(front1, cfg.phi), d1), "D2": superpose(front2, d2),
-                 "D3": vacuum, "D4": vacuum}
-    return PropagationResult(cfg.mode, waves, cfg)
+        _phase_into(arm[:k], cfg.phi, d1[:k])
+        d2[:k] = arm[:k]
+        waves = dict.fromkeys(("D3", "D4"), zero_wave(grid))
+    return PropagationResult(cfg.mode, {"D1": _adopt(grid, d1), "D2": _adopt(grid, d2), **waves}, cfg)

@@ -81,7 +81,8 @@ def sample_counts(cumprobs: np.ndarray, start: int, stop: int, seed: int) -> np.
     if not all(math.isfinite(v) for v in c) or not c[0] <= c[1] <= c[2]:
         raise ValueError(f"cumprobs must be finite and non-decreasing, got {c}")
     thresholds = [_threshold(v) for v in c[:3]]
-    live = [(k, np.uint64(t)) for k, t in enumerate(thresholds) if t]
+    # one pass per distinct threshold: a repeated one takes the count of the one before
+    live = [(k, np.uint64(t)) for k, t in enumerate(thresholds) if t and (k == 0 or t != thresholds[k - 1])]
 
     n = max(stop - start, 0)
     below = [n if t is None else 0 for t in thresholds]
@@ -107,5 +108,8 @@ def sample_counts(cumprobs: np.ndarray, start: int, stop: int, seed: int) -> np.
                     below[k] += int(np.count_nonzero(np.less(z, thr, out=hits)))
         finally:
             _SPARE.append((zbuf, tbuf))
+    for k in (1, 2):
+        if thresholds[k] == thresholds[k - 1]:
+            below[k] = below[k - 1]
     return np.array([below[0], below[1] - below[0], below[2] - below[1], n - below[2]],
                     dtype=np.int64)

@@ -195,28 +195,16 @@ def chi_square_check(
     observed = rec.counts_array().astype(np.float64)
     exp_counts = expected * rec.n_photons
     live = expected > 0.0
+    dof = int(live.sum()) - 1
 
     if np.any(observed[~live] > 0):
-        return ChiSquareReport(
-            statistic=float("inf"),
-            dof=int(live.sum()) - 1,
-            p_value=0.0,
-            significance=significance,
-            passed=False,
-            note="clicks observed in a zero-probability detector",
-        )
+        return ChiSquareReport(float("inf"), dof, 0.0, significance, False,
+                               "clicks observed in a zero-probability detector")
     if np.any(exp_counts[live] < 5.0):
-        return ChiSquareReport(
-            statistic=None,
-            dof=int(live.sum()) - 1,
-            p_value=None,
-            significance=significance,
-            passed=None,
-            note="insufficient statistics: an expected count is below 5",
-        )
+        return ChiSquareReport(None, dof, None, significance, None,
+                               "insufficient statistics: an expected count is below 5")
 
     stat = float(np.sum((observed[live] - exp_counts[live]) ** 2 / exp_counts[live]))
-    dof = int(live.sum()) - 1
     if dof == 0:
         # all mass in one detector and all clicks landed there
         return ChiSquareReport(0.0, 0, 1.0, significance, True, "single live detector")

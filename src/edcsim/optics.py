@@ -50,12 +50,33 @@ class ElementSpec:
         return ELEMENT_PORTS[self.kind][1]
 
 
+def _split_into(in1, in2, out1, out2=None) -> None:
+    """Input splitter on arrays, as :func:`beam_split`; with ``in2=None`` (vacuum) both outputs are ``out1``."""
+    if in2 is None:
+        np.multiply(in1, _SQRT_HALF, out=out1)
+        return
+    np.multiply(np.add(in1, in2, out=out1), _SQRT_HALF, out=out1)
+    np.multiply(np.subtract(in1, in2, out=out2), _SQRT_HALF, out=out2)
+
+
+def _recombine_into(in1, in2, phi: float, out1, out2) -> None:
+    """Output combiner on arrays, as :func:`recombine_bs2`; the outputs must not overlap the inputs."""
+    a = _phase_into(in1, phi, out2)
+    np.multiply(np.subtract(a, in2, out=out1), _SQRT_HALF, out=out1)
+    np.multiply(np.add(a, in2, out=out2), _SQRT_HALF, out=out2)
+
+
+def _phase_into(x, phi: float, out):
+    """Phase shifter on arrays: ``out = e^{i phi} x``."""
+    return np.multiply(np.exp(1j * phi), x, out=out)
+
+
 def beam_split(in1: SubWave, in2: SubWave) -> tuple[SubWave, SubWave]:
     """50/50 input splitter: ``out1 = (in1 + in2)/sqrt(2)``, ``out2 = (in1 - in2)/sqrt(2)``."""
     _require_same_grid(in1, in2)
-    out1 = _adopt(in1.grid, (in1.amps + in2.amps) * _SQRT_HALF)
-    out2 = _adopt(in1.grid, (in1.amps - in2.amps) * _SQRT_HALF)
-    return out1, out2
+    out1, out2 = np.empty_like(in1.amps), np.empty_like(in1.amps)
+    _split_into(in1.amps, in2.amps, out1, out2)
+    return _adopt(in1.grid, out1), _adopt(in1.grid, out2)
 
 
 def recombine_bs2(in1: SubWave, in2: SubWave, phi: float) -> tuple[SubWave, SubWave]:
@@ -66,13 +87,11 @@ def recombine_bs2(in1: SubWave, in2: SubWave, phi: float) -> tuple[SubWave, SubW
     so that ``out2`` is the bright port at ``phi = 0``.
     """
     _require_same_grid(in1, in2)
-    ph = np.exp(1j * phi)
-    a = ph * in1.amps
-    out1 = _adopt(in1.grid, (a - in2.amps) * _SQRT_HALF)
-    out2 = _adopt(in1.grid, (a + in2.amps) * _SQRT_HALF)
-    return out1, out2
+    out1, out2 = np.empty_like(in1.amps), np.empty_like(in1.amps)
+    _recombine_into(in1.amps, in2.amps, phi, out1, out2)
+    return _adopt(in1.grid, out1), _adopt(in1.grid, out2)
 
 
 def apply_phase(w: SubWave, phi: float) -> SubWave:
     """Multiply every sample by ``e^{i phi}``; the norm is unchanged."""
-    return _adopt(w.grid, np.exp(1j * phi) * w.amps)
+    return _adopt(w.grid, _phase_into(w.amps, phi, np.empty_like(w.amps)))

@@ -15,9 +15,6 @@ import numpy as np
 
 from .errors import ConfigurationError, GridMismatchError
 
-# Sample-alignment tolerance for times given in seconds, relative to dt.
-_ALIGN_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -31,28 +28,6 @@ class TimeGrid:
             raise ConfigurationError(f"n_samples must be a positive integer, got {self.n_samples!r}")
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ConfigurationError(f"dt must be positive and finite, got {self.dt!r}")
-
-    @property
-    def span(self) -> float:
-        return self.n_samples * self.dt
-
-    def index_at(self, t: float) -> int:
-        """Sample index of a boundary time ``t``.
-
-        ``t`` must lie on a sample boundary (within tolerance) between 0 and
-        the end of the grid; the end boundary ``span`` maps to ``n_samples``.
-        """
-        k = t / self.dt
-        ki = int(round(k))
-        if abs(k - ki) > _ALIGN_TOL * max(1.0, abs(k)):
-            raise ConfigurationError(
-                f"time {t!r} s is not aligned to a sample boundary (dt={self.dt!r} s)"
-            )
-        if not 0 <= ki <= self.n_samples:
-            raise ConfigurationError(
-                f"time {t!r} s lies outside the grid [0, {self.span!r}]"
-            )
-        return ki
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,26 +66,27 @@ def zero_wave(grid: TimeGrid) -> SubWave:
     return _adopt(grid, np.zeros(grid.n_samples, dtype=np.complex128))
 
 
-def make_rect_pulse(grid: TimeGrid, duration: float) -> SubWave:
-    """Unit-norm rectangular pulse starting at ``t = 0``.
+def make_rect_pulse(grid: TimeGrid, n_pulse: int) -> SubWave:
+    """Unit-norm rectangular pulse over the first ``n_pulse`` samples (``n_pulse * dt`` seconds), zero after."""
+    return SubWave(grid, _rect_amps(grid, n_pulse))
 
-    The amplitude is constant over ``[0, duration)`` and zero
-    elsewhere; ``duration`` must be positive, sample-aligned and within the
-    grid span.
-    """
-    if not (np.isfinite(duration) and duration > 0):
-        raise ConfigurationError(f"pulse duration must be positive, got {duration!r}")
-    n_pulse = grid.index_at(duration)
-    if n_pulse == 0:
-        raise ConfigurationError("pulse duration must cover at least one sample")
+
+def _rect_amps(grid: TimeGrid, n_pulse: int) -> np.ndarray:
+    """The amplitudes of :func:`make_rect_pulse` as a fresh writable array."""
+    if not isinstance(n_pulse, (int, np.integer)) or not 1 <= n_pulse <= grid.n_samples:
+        raise ConfigurationError(f"pulse must cover 1 to {grid.n_samples} samples, got {n_pulse!r}")
     amps = np.zeros(grid.n_samples, dtype=np.complex128)
     amps[:n_pulse] = np.sqrt(1.0 / (n_pulse * grid.dt))
-    return SubWave(grid, amps)
+    return amps
 
 
-def norm(w: SubWave) -> float:
-    """Probability carried by ``w``: ``sum(|a_i|^2) * dt``, a pairwise float64 sum with no BLAS call."""
-    return float(np.sum(np.square(w.amps.view(np.float64))) * w.grid.dt)
+def norm(w: SubWave, scratch: np.ndarray | None = None) -> float:
+    """Probability carried by ``w``: ``sum(|a_i|^2) * dt``, a pairwise float64 sum with no BLAS call.
+
+    A float64 ``scratch`` of at least two values per sample holds the squares; the bits are the same.
+    """
+    x = w.amps.view(np.float64)
+    return float(np.sum(np.square(x, out=None if scratch is None else scratch[:x.size])) * w.grid.dt)
 
 
 def inner_product(a: SubWave, b: SubWave) -> complex:
@@ -120,19 +96,25 @@ def inner_product(a: SubWave, b: SubWave) -> complex:
     return complex(np.sum(x * y) * a.grid.dt, np.sum(x[::2] * y[1::2] - x[1::2] * y[::2]) * a.grid.dt)
 
 
-def split_at_time(w: SubWave, t_cut: float) -> tuple[SubWave, SubWave]:
-    """Split ``w`` into (front, back) at a sample-aligned cut time.
+def split_at_time(w: SubWave, k: int) -> tuple[SubWave, SubWave]:
+    """Split ``w`` into (front, back) at the cut time ``k * dt``, ``k`` a sample index from 0 to ``n_samples``.
 
-    The front part holds the samples strictly before ``t_cut``, the back
-    part the samples at and after it, so the two have disjoint supports and
-    sum to ``w`` samplewise.
+    The front holds the samples before ``k``, the back those from ``k`` on:
+    disjoint supports that sum to ``w`` samplewise.
     """
-    k = w.grid.index_at(t_cut)
-    front = w.amps.copy()
-    front[k:] = 0
-    back = w.amps.copy()
-    back[:k] = 0
+    if not isinstance(k, (int, np.integer)) or not 0 <= k <= w.grid.n_samples:
+        raise ConfigurationError(f"cut index must be an integer from 0 to {w.grid.n_samples}, got {k!r}")
+    front, back = w.amps.copy(), w.amps.copy()
+    _cut_into(k, front, back)
     return _adopt(w.grid, front), _adopt(w.grid, back)
+
+
+def _cut_into(k: int, front=None, back=None) -> None:
+    """Time cut in place at sample ``k``: zero ``front`` from ``k`` on and ``back`` before ``k``."""
+    if front is not None:
+        front[k:] = 0
+    if back is not None:
+        back[:k] = 0
 
 
 def superpose(a: SubWave, b: SubWave) -> SubWave:

@@ -17,7 +17,7 @@ import pytest
 from edcsim.analytic import predict
 from edcsim.benchdsl import format_bench, parse, try_parse
 from edcsim.cli import main
-from edcsim.experiment import ExperimentConfig, _split_source, run
+from edcsim.experiment import ExperimentConfig, _arm, run
 from edcsim.measurement import chi_square_check, estimators, sample_clicks
 from edcsim.optics import beam_split, recombine_bs2
 from edcsim.wavecore import SubWave, TimeGrid, inner_product, norm, split_at_time
@@ -116,9 +116,8 @@ def test_c06_front_back_norms_complement_to_half():
         for _ in range(200):
             cfg = ExperimentConfig(mode="edc_conceptual", phi=float(rng.uniform(0, 2 * np.pi)),
                                    td_frac=int(rng.integers(0, 501)) / 500)
-            for arm in _split_source(cfg):
-                front, back = split_at_time(arm, cfg.td_samples * cfg.dt)
-                assert abs(norm(front) + norm(back) - 0.5) < TOL
+            front, back = split_at_time(SubWave(cfg.grid(), _arm(cfg)), cfg.td_samples)  # either arm
+            assert abs(norm(front) + norm(back) - 0.5) < TOL
 
 
 def test_c07_front_back_orthogonality():
@@ -127,9 +126,8 @@ def test_c07_front_back_orthogonality():
         for _ in range(200):
             cfg = ExperimentConfig(mode="edc_conceptual", phi=float(rng.uniform(0, 2 * np.pi)),
                                    td_frac=int(rng.integers(0, 501)) / 500)
-            for arm in _split_source(cfg):
-                front, back = split_at_time(arm, cfg.td_samples * cfg.dt)
-                assert inner_product(front, back) == 0
+            front, back = split_at_time(SubWave(cfg.grid(), _arm(cfg)), cfg.td_samples)  # either arm
+            assert inner_product(front, back) == 0
 
 
 def test_c08_unitarity_of_splitters():
@@ -161,13 +159,24 @@ def test_c09_chi_square_self_consistency():
         assert passed >= 99, f"only {passed}/100 seeds passed"
 
 
-def test_c10_sweep_reproducibility(tmp_path):
+def test_c10_sweep_reproducibility(tmp_path, monkeypatch):
     with criterion(10, "sweep output byte-identical across reruns and worker counts"):
+        # 3 * 2^19 photons a row, so --workers 6 samples each of the 21 rows on three
+        # threads on any host; the photon ranges are recorded to show that it does
+        from edcsim import kernels, measurement
+
+        ranges = []
+        real = kernels.sample_counts
+        monkeypatch.setattr(kernels, "sample_counts", lambda cum, lo, hi, seed: ranges.append((lo, hi)) or
+                            real(cum, lo, hi, seed))
+        monkeypatch.setattr(measurement.os, "cpu_count", lambda: 8)
         out = [tmp_path / f"sweep{i}.csv" for i in range(3)]
-        base = ["sweep", "--preset", "delay", "--photons", "50000", "--seed", "4"]
+        base = ["sweep", "--preset", "delay", "--photons", str(3 << 19), "--seed", "4"]
         assert main(base + ["--out", str(out[0])]) == 0
         assert main(base + ["--out", str(out[1])]) == 0
+        assert len(ranges) == 2 * 21
         assert main(base + ["--out", str(out[2]), "--workers", "6"]) == 0
+        assert len(ranges) == 2 * 21 + 3 * 21
         blobs = [p.read_bytes() for p in out]
         assert blobs[0] == blobs[1] == blobs[2]
 

@@ -213,13 +213,23 @@ class TestSweep:
         assert code == 2
         assert "sweep needs" in err
 
-    def test_byte_identical_reruns_and_workers(self, capsys, tmp_path):
+    def test_byte_identical_reruns_and_workers(self, capsys, tmp_path, monkeypatch):
+        # 5 * 2^19 photons a row, so --workers 5 samples each row on five threads on any host
+        from edcsim import kernels, measurement
+
+        ranges = []
+        real = kernels.sample_counts
+        monkeypatch.setattr(kernels, "sample_counts", lambda cum, lo, hi, seed: ranges.append((lo, hi)) or
+                            real(cum, lo, hi, seed))
+        monkeypatch.setattr(measurement.os, "cpu_count", lambda: 8)
         paths = [tmp_path / f"out{i}.csv" for i in range(3)]
         base = ["sweep", "--var", "td_frac", "--start", "0", "--stop", "1", "--steps", "6",
-                "--mode", "edc_bench", "--photons", "30000", "--seed", "11"]
+                "--mode", "edc_bench", "--photons", str(5 << 19), "--seed", "11"]
         assert main(base + ["--out", str(paths[0])]) == 0
         assert main(base + ["--out", str(paths[1])]) == 0
+        assert len(ranges) == 2 * 6
         assert main(base + ["--out", str(paths[2]), "--workers", "5"]) == 0
+        assert len(ranges) == 2 * 6 + 5 * 6
         blobs = [p.read_bytes() for p in paths]
         assert blobs[0] == blobs[1] == blobs[2]
 
@@ -317,17 +327,39 @@ class TestValidate:
         assert code == 0
         assert "all checks passed" in out
 
+    @pytest.mark.parametrize("photons, expected", [(33, 2), (34, 0)])
+    def test_fewest_photons_for_a_verdict(self, capsys, photons, expected):
+        # D3/D4 of the sampled row expect 0.15 of the photons: 33 give under 5
+        # clicks, too few for any chi-square verdict, so the input is refused
+        code, out, err = run_cli(capsys, "validate", "--photons", str(photons))
+        assert code == expected
+        assert ("needs at least 34 photons" in err) == (expected == 2)
+        assert "FAIL" not in out and "Traceback" not in err
+
     def test_injected_port_swap_is_detected(self, monkeypatch):
         # classic wiring mistake: the recombiner's outputs exchanged
         from edcsim import experiment, optics
 
-        def swapped(in1, in2, phi):
-            out1, out2 = optics.recombine_bs2(in1, in2, phi)
-            return out2, out1
+        def swapped(in1, in2, phi, out1, out2):
+            optics._recombine_into(in1, in2, phi, out2, out1)
 
-        monkeypatch.setattr(experiment, "recombine_bs2", swapped)
+        monkeypatch.setattr(experiment, "_recombine_into", swapped)
         checks = {c.name: c for c in run_validation_suite(seed=3, n_photons=5000)}
         assert checks["oracle_agreement"].passed is False
+
+    def test_injected_wrong_sign_is_detected(self, capsys, monkeypatch):
+        # the arm-2 sign flipped inside the array combiner that run writes D1/D2 with
+        from edcsim import experiment, optics
+
+        def wrong_sign(in1, in2, phi, out1, out2):
+            optics._recombine_into(in1, -in2, phi, out1, out2)
+
+        monkeypatch.setattr(experiment, "_recombine_into", wrong_sign)
+        checks = {c.name: c for c in run_validation_suite(seed=3, n_photons=5000)}
+        assert checks["oracle_agreement"].passed is False
+        assert main(["validate", "--photons", "5000"]) == 1
+        code, _, err = run_cli(capsys, "run", "--mode", "closed", "--photons", "100")
+        assert code == 1 and "disagree" in err
 
     def test_oracle_mismatch_exits_1(self, capsys, monkeypatch):
         import edcsim.cli as cli
@@ -475,8 +507,9 @@ class TestRowPathWork:
                                n_photons=1000, insert_bs2=True if mode == "wheeler_delayed" else None)
         counts.update(norm=0, config=0, subwave=0)
         simulate_row(cfg)
-        # four detector norms, and only the source pulse goes through the validating constructor
-        assert counts == {"norm": 4, "config": 0, "subwave": 1}
+        # three detector norms (D3 and D4 share one wave), and no wave goes through the
+        # validating constructor: run writes the source pulse and every detector wave itself
+        assert counts == {"norm": 3, "config": 0, "subwave": 0}
 
     @pytest.mark.parametrize("argv, rows", [
         (["--preset", "delay"], 21),
@@ -486,4 +519,4 @@ class TestRowPathWork:
     def test_sweep_builds_each_config_once(self, counts, capsys, argv, rows):
         code, out, _ = run_cli(capsys, "sweep", *argv, "--photons", "10")
         assert code == 0 and len(csv_rows(out)) == rows
-        assert counts == {"norm": 4 * rows, "config": rows, "subwave": rows}
+        assert counts == {"norm": 3 * rows, "config": rows, "subwave": 0}

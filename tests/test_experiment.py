@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
 from edcsim.errors import ConfigurationError, ConservationError
-from edcsim.experiment import ExperimentConfig, _split_source, run
-from edcsim.wavecore import inner_product, norm, split_at_time
+from edcsim.experiment import DETECTOR_IDS, EDC_MODES, MODES, ExperimentConfig, _arm, run
+from edcsim.optics import apply_phase, beam_split, recombine_bs2
+from edcsim.wavecore import (
+    SubWave,
+    inner_product,
+    make_rect_pulse,
+    norm,
+    split_at_time,
+    superpose,
+    zero_wave,
+)
 
 TOL = 1e-12
 
@@ -170,10 +181,9 @@ class TestInvariants:
         for _ in range(50):
             td_samples = int(rng.integers(0, 501))
             cfg = cfg_for("edc_conceptual", rng.uniform(0, 2 * np.pi), td=td_samples / 500)
-            for arm in _split_source(cfg):
-                front, back = split_at_time(arm, cfg.td_samples * cfg.dt)
-                assert abs(norm(front) + norm(back) - 0.5) < TOL
-                assert inner_product(front, back) == 0
+            front, back = split_at_time(SubWave(cfg.grid(), _arm(cfg)), cfg.td_samples)  # either arm
+            assert abs(norm(front) + norm(back) - 0.5) < TOL
+            assert inner_product(front, back) == 0
 
     def test_grid_refinement_stability(self):
         for samples in (500, 1000, 2000, 4000):
@@ -193,6 +203,40 @@ class TestInvariants:
         # every comparison with NaN is false, so the check must not be "> tol"
         from edcsim import experiment
 
-        monkeypatch.setattr(experiment, "norm", lambda w: float("nan"))
+        monkeypatch.setattr(experiment, "norm", lambda w, scratch=None: float("nan"))
         with pytest.raises(ConservationError, match="nan"):
             run(cfg_for("open"))
+
+
+def composed_waves(cfg: ExperimentConfig) -> list[SubWave]:
+    """The detector waves composed from the SubWave transforms, one new wave per step."""
+    grid = cfg.grid()
+    vacuum = zero_wave(grid)
+    arm1, arm2 = beam_split(make_rect_pulse(grid, cfg.pulse_samples), vacuum)
+    front1, back1 = split_at_time(arm1, cfg.passed_samples)
+    front2, back2 = split_at_time(arm2, cfg.passed_samples)
+    d1, d2 = recombine_bs2(back1, back2, cfg.phi)
+    if cfg.mode == "edc_bench":
+        return [d1, d2, front1, front2]
+    return [superpose(apply_phase(front1, cfg.phi), d1), superpose(front2, d2), vacuum, vacuum]
+
+
+def test_run_equals_the_composed_transforms():
+    # run writes each detector wave in place; its norms keep every bit of the
+    # composition, and its amplitudes its values (a zero may change sign)
+    rng = random.Random(26)
+    for i in range(200):
+        mode = MODES[i % len(MODES)]
+        cfg = ExperimentConfig(
+            mode=mode,
+            phi=rng.uniform(-7.0, 7.0),
+            td_frac=rng.choice((0.0, 0.5, 1.0, rng.random())) if mode in EDC_MODES else 0.0,
+            period=rng.choice((1e-6, 1.234e-5, 7.3e-9, 0.37)),
+            samples_per_period=2 * rng.randint(1, 300),
+            insert_bs2=rng.random() < 0.5 if mode == "wheeler_delayed" else None,
+        )
+        result = run(cfg)
+        reference = composed_waves(cfg)
+        assert result.norms_array().tobytes() == np.array([norm(w) for w in reference]).tobytes(), cfg
+        for d, w in zip(DETECTOR_IDS, reference):
+            assert np.array_equal(result.detector_waves[d].amps, w.amps), (cfg, d)

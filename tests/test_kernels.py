@@ -127,6 +127,35 @@ def test_edge_thresholds_match_reference(cum):
         assert got.tolist() == counts_reference(cum, start, stop, 77)
 
 
+@pytest.mark.parametrize("cum, distinct", [
+    ((0.2, 0.5, 0.8, 1.0), 3),
+    ((0.3, 0.6, 0.6, 1.0), 2),
+    ((0.3, 1.0 - ULP, 1.0 - ULP, 1.0), 2),  # edc_conceptual with dark D3/D4
+    ((0.3, 0.3, 0.3, 1.0), 1),
+    ((0.0, 0.0, 0.7, 1.0), 1),
+    ((0.4, 1.0, 1.0, 1.0), 1),
+])
+def test_repeated_threshold_adds_no_pass(monkeypatch, cum, distinct):
+    # one compare-and-count pass a chunk for each distinct threshold below 1;
+    # a repeated threshold takes the count of the one before
+    passes = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def less(self, *args, **kwargs):
+            passes.append(args[1])
+            return np.less(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "np", CountingNumpy())
+    for stop, chunks in ((3000, 1), (CHUNK + 300, 2)):
+        passes.clear()
+        got = sample_counts(np.array(cum), 0, stop, 5)
+        assert len(passes) == distinct * chunks
+        assert got.tolist() == counts_reference(cum, 0, stop, 5)
+
+
 def test_threshold_on_a_photons_draw():
     # a photon whose u equals a threshold lands above it, and below one that is
     # half a 2^-53 step higher; photons whose low 11 bits are zero sit exactly

@@ -47,12 +47,22 @@ class TestSampleClicks:
         bound = 5 * 0.5 / math.sqrt(1_000_000)
         assert abs(rec.counts["D1"] / 1_000_000 - 0.5) < bound
 
-    def test_reproducible_and_worker_invariant(self):
-        result = propagate()
+    def test_reproducible_and_worker_invariant(self, monkeypatch):
+        # 2^22 photons: workers 2, 3 and 8 split the row into 2, 3 and 8 photon ranges
+        from edcsim import kernels, measurement
+
+        result = propagate(photons=1 << 22)
         ref = sample_clicks(result)
         assert sample_clicks(result).counts == ref.counts
+        ranges = []
+        real = kernels.sample_counts
+        monkeypatch.setattr(kernels, "sample_counts", lambda cum, lo, hi, seed: ranges.append((lo, hi)) or
+                            real(cum, lo, hi, seed))
+        monkeypatch.setattr(measurement.os, "cpu_count", lambda: 8)
         for workers in (2, 3, 8):
+            ranges.clear()
             assert sample_clicks(result, workers=workers).counts == ref.counts
+            assert len(ranges) == workers
 
     def test_threads_only_for_large_rows(self, monkeypatch):
         # a thread starts only with 2^19 photons of its own; counts never change

@@ -23,13 +23,13 @@ def random_wave(grid, rng):
 class TestBeamSplit:
     def test_divides_unit_pulse(self):
         g = grid1000()
-        out1, out2 = beam_split(make_rect_pulse(g, 500e-9), zero_wave(g))
+        out1, out2 = beam_split(make_rect_pulse(g, 500), zero_wave(g))
         assert abs(norm(out1) - 0.5) < TOL
         assert abs(norm(out2) - 0.5) < TOL
 
     def test_equal_inputs_interfere(self):
         g = grid1000()
-        w = make_rect_pulse(g, 500e-9)
+        w = make_rect_pulse(g, 500)
         out1, out2 = beam_split(w, w)
         assert np.allclose(out1.amps, np.sqrt(2) * w.amps, atol=TOL)
         assert norm(out2) == 0.0
@@ -47,7 +47,7 @@ class TestBeamSplit:
 class TestRecombine:
     def test_equal_inputs_phi_zero_all_to_out2(self):
         g = grid1000()
-        w, _ = beam_split(make_rect_pulse(g, 500e-9), zero_wave(g))
+        w, _ = beam_split(make_rect_pulse(g, 500), zero_wave(g))
         out1, out2 = recombine_bs2(w, w, 0.0)
         assert norm(out1) == 0.0
         assert abs(norm(out2) - 2 * norm(w)) < TOL
@@ -55,7 +55,7 @@ class TestRecombine:
     def test_equal_inputs_phi_pi_all_to_out1(self):
         # by hand: out1 = (e^{i pi} w - w)/sqrt(2) = -sqrt(2) w, out2 = 0
         g = grid1000()
-        w, _ = beam_split(make_rect_pulse(g, 500e-9), zero_wave(g))
+        w, _ = beam_split(make_rect_pulse(g, 500), zero_wave(g))
         out1, out2 = recombine_bs2(w, w, np.pi)
         assert abs(norm(out1) - 1.0) < TOL
         assert norm(out2) < TOL
@@ -79,7 +79,7 @@ class TestRecombine:
 class TestApplyPhase:
     def test_identity_and_involution(self):
         g = grid1000()
-        w = make_rect_pulse(g, 500e-9)
+        w = make_rect_pulse(g, 500)
         assert np.array_equal(apply_phase(w, 0.0).amps, w.amps)
         twice = apply_phase(apply_phase(w, np.pi), np.pi)
         assert np.allclose(twice.amps, w.amps, atol=TOL)

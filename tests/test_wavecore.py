@@ -37,26 +37,11 @@ class TestTimeGrid:
         with pytest.raises(ConfigurationError):
             TimeGrid(100, -1e-9)
 
-    def test_index_at_boundaries(self):
-        g = grid1000()
-        assert g.index_at(0.0) == 0
-        assert g.index_at(500e-9) == 500
-        assert g.index_at(1000e-9) == 1000  # end boundary is addressable
-
-    def test_index_at_rejects_unaligned_and_outside(self):
-        g = grid1000()
-        with pytest.raises(ConfigurationError):
-            g.index_at(0.5e-9)
-        with pytest.raises(ConfigurationError):
-            g.index_at(-1e-9)
-        with pytest.raises(ConfigurationError):
-            g.index_at(1001e-9)
-
 
 class TestRectPulse:
     def test_unit_norm_and_flat_top(self):
         g = grid1000()
-        w = make_rect_pulse(g, 500e-9)
+        w = make_rect_pulse(g, 500)
         assert abs(norm(w) - 1.0) < TOL
         # 500 nonzero samples, each |a|^2 = 1/(500 * 1ns)
         nonzero = np.flatnonzero(np.abs(w.amps))
@@ -65,26 +50,26 @@ class TestRectPulse:
 
     def test_full_span_pulse(self):
         g = grid1000()
-        w = make_rect_pulse(g, 1000e-9)
+        w = make_rect_pulse(g, 1000)
         assert np.all(np.abs(w.amps) > 0)
         assert abs(norm(w) - 1.0) < TOL
 
     def test_zero_duration_rejected(self):
         with pytest.raises(ConfigurationError):
-            make_rect_pulse(grid1000(), 0.0)
+            make_rect_pulse(grid1000(), 0)
 
     def test_over_span_and_unaligned_rejected(self):
         g = grid1000()
         with pytest.raises(ConfigurationError):
-            make_rect_pulse(g, 1001e-9)
+            make_rect_pulse(g, 1001)
         with pytest.raises(ConfigurationError):
-            make_rect_pulse(g, 500.5e-9)
+            make_rect_pulse(g, 500.5)
 
 
 class TestNormInner:
     def test_norm_examples(self):
         g = grid1000()
-        w = make_rect_pulse(g, 500e-9)
+        w = make_rect_pulse(g, 500)
         assert abs(norm(w) - 1.0) < TOL
         assert norm(zero_wave(g)) == 0.0
         half = SubWave(g, w.amps / np.sqrt(2))
@@ -106,7 +91,7 @@ class TestNormInner:
 
     def test_zero_wave_orthogonal_to_anything(self):
         g = grid1000()
-        w = make_rect_pulse(g, 500e-9)
+        w = make_rect_pulse(g, 500)
         assert inner_product(zero_wave(g), w) == 0
 
     def test_grid_mismatch_rejected(self):
@@ -119,25 +104,34 @@ class TestNormInner:
 class TestSplit:
     def test_midpoint_split_halves_norm(self):
         g = grid1000()
-        w = make_rect_pulse(g, 500e-9)
-        front, back = split_at_time(w, 250e-9)
+        w = make_rect_pulse(g, 500)
+        front, back = split_at_time(w, 250)
         assert abs(norm(front) - 0.5) < TOL
         assert abs(norm(back) - 0.5) < TOL
 
     def test_cut_before_and_after_support(self):
         g = grid1000()
-        w = make_rect_pulse(g, 500e-9)
-        front, back = split_at_time(w, 0.0)
+        w = make_rect_pulse(g, 500)
+        front, back = split_at_time(w, 0)
         assert norm(front) == 0.0
         assert np.array_equal(back.amps, w.amps)
-        front, back = split_at_time(w, 800e-9)
+        front, back = split_at_time(w, 800)
         assert np.array_equal(front.amps, w.amps)
         assert norm(back) == 0.0
 
     def test_unaligned_cut_rejected(self):
-        w = make_rect_pulse(grid1000(), 500e-9)
+        w = make_rect_pulse(grid1000(), 500)
         with pytest.raises(ConfigurationError):
-            split_at_time(w, 250.3e-9)
+            split_at_time(w, 250.3)
+
+    def test_cut_index_bounds(self):
+        # the end boundary is addressable; a cut outside the grid is not
+        w = make_rect_pulse(grid1000(), 500)
+        front, back = split_at_time(w, 1000)
+        assert np.array_equal(front.amps, w.amps) and norm(back) == 0.0
+        for k in (-1, 1001):
+            with pytest.raises(ConfigurationError):
+                split_at_time(w, k)
 
     def test_split_properties_random(self):
         # additivity, exact orthogonality, norm additivity
@@ -146,7 +140,7 @@ class TestSplit:
         for _ in range(50):
             w = random_wave(g, rng)
             k = int(rng.integers(0, g.n_samples + 1))
-            front, back = split_at_time(w, k * g.dt)
+            front, back = split_at_time(w, k)
             assert np.array_equal(front.amps + back.amps, w.amps)
             assert inner_product(front, back) == 0
             assert abs(norm(front) + norm(back) - norm(w)) < TOL
@@ -154,7 +148,7 @@ class TestSplit:
     def test_boundary_sample_goes_to_back(self):
         g = TimeGrid(4, 1.0)
         w = SubWave(g, [1.0, 2.0, 3.0, 4.0])
-        front, back = split_at_time(w, 2.0)
+        front, back = split_at_time(w, 2)
         assert np.array_equal(front.amps, [1.0, 2.0, 0.0, 0.0])
         assert np.array_equal(back.amps, [0.0, 0.0, 3.0, 4.0])
 
