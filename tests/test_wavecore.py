@@ -124,12 +124,18 @@ class TestSplit:
         with pytest.raises(ConfigurationError):
             split_at_time(w, 250.3)
 
-    def test_cut_index_bounds(self):
-        # the end boundary is addressable; a cut outside the grid is not
+    def test_cut_index_boundaries(self):
+        # the grid start, the pulse end and the grid end are all addressable
         w = make_rect_pulse(grid1000(), 500)
-        front, back = split_at_time(w, 1000)
-        assert np.array_equal(front.amps, w.amps) and norm(back) == 0.0
-        for k in (-1, 1001):
+        front, back = split_at_time(w, 0)
+        assert norm(front) == 0.0 and np.array_equal(back.amps, w.amps)
+        for k in (500, 1000):  # 1000: end boundary
+            front, back = split_at_time(w, k)
+            assert np.array_equal(front.amps, w.amps) and norm(back) == 0.0
+
+    def test_cut_index_rejects_unaligned_and_outside(self):
+        w = make_rect_pulse(grid1000(), 500)
+        for k in (0.5, -1, 1001):
             with pytest.raises(ConfigurationError):
                 split_at_time(w, k)
 
